@@ -86,7 +86,9 @@ class CostLedger:
     trace id per request): when full, the oldest-charged keys are evicted
     so the resident set stays flat.  Totals queried per trace id are exact
     as long as the trace's entries have not been evicted, which holds for
-    any in-flight request.
+    any in-flight request.  A per-trace index, kept in step with charges
+    and evictions, makes that query cost only the trace's own accounts:
+    the service asks it on every response.
     """
 
     enabled = True
@@ -96,6 +98,9 @@ class CostLedger:
         self._lock = threading.Lock()
         # dict preserves insertion order -> cheap FIFO eviction.
         self._entries: Dict[CostKey, Dict[str, float]] = {}
+        # trace id -> that trace's keys, in charge order (dict as an
+        # ordered set), so a per-trace query never scans the ledger.
+        self._by_trace: Dict[str, Dict[CostKey, None]] = {}
         self.evictions = 0
 
     def charge(self, key: CostKey, **amounts: float) -> None:
@@ -111,10 +116,16 @@ class CostLedger:
             entry = self._entries.get(key)
             if entry is None:
                 while len(self._entries) >= self.capacity:
-                    self._entries.pop(next(iter(self._entries)))
+                    oldest = next(iter(self._entries))
+                    del self._entries[oldest]
+                    trace_keys = self._by_trace[oldest.trace_id]
+                    del trace_keys[oldest]
+                    if not trace_keys:
+                        del self._by_trace[oldest.trace_id]
                     self.evictions += 1
                 entry = {field: 0.0 for field in COST_FIELDS}
                 self._entries[key] = entry
+                self._by_trace.setdefault(key.trace_id, {})[key] = None
             for name, value in amounts.items():
                 entry[name] += float(value)
 
@@ -145,11 +156,15 @@ class CostLedger:
         """Sum of every meter over accounts matching the given filters."""
         totals = {field: 0.0 for field in COST_FIELDS}
         with self._lock:
-            for key, meters in self._entries.items():
-                if trace_id is not None and key.trace_id != trace_id:
-                    continue
+            keys: Iterable[CostKey] = (
+                self._entries
+                if trace_id is None
+                else self._by_trace.get(trace_id, ())
+            )
+            for key in keys:
                 if device is not None and key.device != device:
                     continue
+                meters = self._entries[key]
                 for field in COST_FIELDS:
                     totals[field] += meters[field]
         return totals
@@ -175,6 +190,7 @@ class CostLedger:
     def reset(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._by_trace.clear()
             self.evictions = 0
 
     def __len__(self) -> int:

@@ -10,7 +10,9 @@ current format version are discarded and counted as invalidations.
 
 Canonical JSON matters: ``frozenset`` iteration order varies across
 interpreter runs under hash randomization, so every set is sorted (by its
-own canonical encoding) before hashing.
+own canonical encoding) before hashing.  :func:`canonical_json` writes that
+text in one walk of the object tree; :func:`canonical` is the two-step
+reference definition it must match byte for byte.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import pathlib
 import tempfile
 import threading
 from functools import lru_cache
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import get_metrics
 from repro.pipeline.stats import CacheAccounting
@@ -43,6 +45,11 @@ def canonical(obj: Any) -> Any:
 
     Handles dataclasses, enums, sets/frozensets (sorted by their canonical
     encoding), mappings (sorted keys), and sequences.
+
+    This is the reference definition of the key format:
+    ``json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))``
+    is what :func:`canonical_json` must produce.  Nothing on the hot path
+    calls it; the key-stability tests compare against it.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
@@ -80,8 +87,137 @@ def canonical(obj: Any) -> Any:
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+#: Per dataclass: the fixed ``{"__dataclass__":"Name","fields":{`` head and
+#: the fields in sorted-name order, each with its ``"name":`` key text
+#: (comma included after the first).  One entry per class ever encoded.
+_DATACLASS_LAYOUTS: Dict[type, Tuple[str, Tuple[Tuple[str, str], ...]]] = {}
+
+
+def _dataclass_layout(cls: type) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    head = '{"__dataclass__":' + _encode_str(cls.__name__) + ',"fields":{'
+    keys = [_encode_str(name) + ":" for name in names]
+    keys[1:] = ["," + key for key in keys[1:]]
+    return head, tuple(zip(names, keys))
+
+
+def _set_sort_key(text: str) -> str:
+    """The reference sort key of a set element (or map key) whose canonical
+    JSON is ``text``: ``json.dumps(canonical(item), sort_keys=True)`` with
+    the *default* separators, kept as it always was."""
+    return json.dumps(json.loads(text), sort_keys=True)
+
+
+def _encode(obj: Any, out: Callable[[str], Any]) -> None:
+    """Append the canonical JSON of ``obj`` to ``out``, piece by piece.
+
+    Dispatches on the exact type of the node shapes cache keys are made
+    of; anything else takes :func:`_encode_other`.
+    """
+    cls = type(obj)
+    layout = _DATACLASS_LAYOUTS.get(cls)
+    if layout is not None:
+        head, fields = layout
+        out(head)
+        for name, key in fields:
+            out(key)
+            value = getattr(obj, name)
+            if type(value) is str:
+                out(_encode_str(value))
+            else:
+                _encode(value, out)
+        out("}}")
+    elif cls is str:
+        out(_encode_str(obj))
+    elif cls is list or cls is tuple:
+        out("[")
+        sep = ""
+        for item in obj:
+            out(sep)
+            sep = ","
+            if type(item) is str:
+                out(_encode_str(item))
+            else:
+                _encode(item, out)
+        out("]")
+    elif obj is None:
+        out("null")
+    elif cls is int:
+        out(int.__repr__(obj))
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif (cls is frozenset or cls is set) and all(
+        type(item) is str for item in obj
+    ):
+        # A str's canonical JSON is its own sort key: no separators in it.
+        out("[" + ",".join(sorted(map(_encode_str, obj))) + "]")
+    elif cls is dict and all(type(key) is str for key in obj):
+        _encode_str_map(obj, out)
+    else:
+        _encode_other(obj, out)
+
+
+def _encode_str_map(obj: Dict[str, Any], out: Callable[[str], Any]) -> None:
+    out("{")
+    sep = ""
+    for key in sorted(obj):
+        out(sep + _encode_str(key) + ":")
+        sep = ","
+        _encode(obj[key], out)
+    out("}")
+
+
+def _encode_other(obj: Any, out: Callable[[str], Any]) -> None:
+    """The rare shapes, tested in :func:`canonical`'s order."""
+    cls = type(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _DATACLASS_LAYOUTS[cls] = _dataclass_layout(cls)
+        _encode(obj, out)
+    elif isinstance(obj, enum.Enum):
+        out(
+            '{"__enum__":' + _encode_str(cls.__name__)
+            + ',"name":' + _encode_str(obj.name) + "}"
+        )
+    elif isinstance(obj, (set, frozenset)):
+        items = sorted(map(canonical_json, obj), key=_set_sort_key)
+        out("[" + ",".join(items) + "]")
+    elif isinstance(obj, dict):
+        if all(type(key) is str for key in obj):
+            _encode_str_map(obj, out)
+            return
+        pairs = sorted(
+            ((canonical_json(k), canonical_json(v)) for k, v in obj.items()),
+            key=lambda kv: _set_sort_key(kv[0]),
+        )
+        out(
+            '{"__map__":['
+            + ",".join("[" + k + "," + v + "]" for k, v in pairs)
+            + "]}"
+        )
+    elif isinstance(obj, (list, tuple)):
+        _encode(tuple(obj), out)
+    elif isinstance(obj, (str, int, float)):
+        # Floats and str/int subclasses: canonical() passes them through,
+        # so json.dumps' own rule (NaN, Infinity, int.__repr__) applies.
+        out(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot canonicalize {cls.__name__}")
+
+
 def canonical_json(obj: Any) -> str:
-    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+    """The canonical JSON text of ``obj``, written in one walk of the tree.
+
+    Byte-identical to ``json.dumps(canonical(obj), sort_keys=True,
+    separators=(",", ":"))`` -- every persisted cache key depends on it --
+    without building the intermediate tree or sorting it a second time.
+    """
+    parts: List[str] = []
+    _encode(obj, parts.append)
+    return "".join(parts)
 
 
 def content_hash(obj: Any) -> str:

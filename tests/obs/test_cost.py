@@ -1,6 +1,8 @@
 """Cost ledger: attribution accounts, totals/top queries, capacity
 eviction, thread safety, stats charging, and the null-ledger default."""
 
+import random
+import sys
 import threading
 
 import pytest
@@ -114,6 +116,75 @@ class TestCapacity:
         assert ledger.evictions == 2
         traces = [e["trace_id"] for e in ledger.entries()]
         assert traces == ["t2", "t3", "t4"]  # oldest accounts went first
+
+    def test_trace_totals_stay_exact_across_eviction(self):
+        """Per-trace totals come from an index, not a scan: they must equal
+        a scan of the resident accounts at every step, while FIFO eviction
+        removes whole traces and parts of traces."""
+        rng = random.Random(7)
+        ledger = CostLedger(capacity=6)
+        traces = [f"t{i}" for i in range(5)]
+        for step in range(400):
+            ledger.charge(
+                _key(rng.choice(traces), device=rng.choice("ab"),
+                     bundle=str(rng.randrange(3))),
+                conflicts=rng.randrange(10), wall_seconds=rng.random(),
+            )
+            resident = ledger.entries()
+            for trace in traces + ["absent"]:
+                for device in (None, "a"):
+                    expected = {field: 0.0 for field in COST_FIELDS}
+                    for entry in resident:
+                        if entry["trace_id"] != trace:
+                            continue
+                        if device is not None and entry["device"] != device:
+                            continue
+                        for field in COST_FIELDS:
+                            expected[field] += entry[field]
+                    assert ledger.totals(trace_id=trace, device=device) == (
+                        expected
+                    ), (step, trace, device)
+        assert ledger.evictions > 0
+        # The index holds exactly the resident traces -- nothing leaks.
+        assert set(ledger._by_trace) == {
+            e["trace_id"] for e in ledger.entries()
+        }
+        ledger.reset()
+        assert ledger.totals(trace_id="t0")["conflicts"] == 0.0
+        assert ledger._by_trace == {}
+
+    def test_trace_index_survives_concurrent_eviction(self):
+        """Threads racing charges through a small ledger (constant
+        eviction) must leave the per-trace index equal to the resident
+        accounts, and every resident charge visible in its trace's total."""
+        ledger = CostLedger(capacity=8)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def work(i):
+            for n in range(2000):
+                ledger.charge(_key(f"t{n % 5}", bundle=f"{i}-{n % 3}"),
+                              conflicts=1)
+
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,)) for i in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        resident = ledger.entries()
+        assert len(resident) == 8 and ledger.evictions > 0
+        assert set(ledger._by_trace) == {e["trace_id"] for e in resident}
+        for trace in ledger._by_trace:
+            expected = sum(
+                e["conflicts"] for e in resident if e["trace_id"] == trace
+            )
+            assert ledger.totals(trace_id=trace)["conflicts"] == expected
 
     def test_reset_clears_accounts_and_eviction_count(self):
         ledger = CostLedger(capacity=1)

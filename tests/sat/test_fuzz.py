@@ -15,6 +15,15 @@ matching how the synthesis engine drives them:
 - solver *reusability*: an UNSAT-under-assumptions query must not spoil
   the solver for later queries, incremental clause addition included.
 
+The plain satisfiability angle draws unrestricted random CNF, UNSAT
+instances included.  The assumption, reusability and trail-saving angles
+draw *planted-model* instances instead: a random CNF at top level is often
+UNSAT outright (a pair of opposite unit clauses is enough), and such a
+round has no assumption query to ask.  Planted instances are satisfiable
+by construction, so those rounds can no longer pass by skipping, and
+:func:`test_rounds_are_not_vacuous` pins how many of them get both SAT
+and UNSAT answers to their assumption queries.
+
 The fast backend additionally gets trail-saving sequences (repeated
 assumption queries sharing prefixes, interleaved with clause additions)
 checked move-by-move against the oracle, and both backends are checked
@@ -45,6 +54,19 @@ def random_cnf(rng, num_vars, num_clauses, max_width=3):
     return clauses
 
 
+def planted_cnf(rng, num_vars, num_clauses, max_width=3):
+    """A :func:`random_cnf` instance made satisfiable by a hidden model:
+    the model is drawn first, and any clause it falsifies gets one of its
+    literals negated."""
+    model = {v: rng.random() < 0.5 for v in range(1, num_vars + 1)}
+    clauses = random_cnf(rng, num_vars, num_clauses, max_width)
+    for clause in clauses:
+        if not any(model[abs(l)] == (l > 0) for l in clause):
+            pick = rng.randrange(len(clause))
+            clause[pick] = -clause[pick]
+    return clauses
+
+
 def brute_force(clauses, num_vars, fixed=None):
     """All-models oracle: is there a model extending ``fixed``?"""
     fixed = dict(fixed or {})
@@ -72,6 +94,51 @@ def _instances():
         num_vars = rng.randint(3, 12)
         num_clauses = rng.randint(1, 4 * num_vars)
         yield index, rng.randint(0, 2 ** 31), num_vars, num_clauses
+
+
+def _random_assumptions(rng, num_vars, width):
+    chosen = rng.sample(range(1, num_vars + 1), width)
+    return [v if rng.random() < 0.5 else -v for v in chosen]
+
+
+def _assumption_round(seed, num_vars, num_clauses):
+    """A planted instance and four assumption queries against it."""
+    rng = random.Random(seed)
+    clauses = planted_cnf(rng, num_vars, num_clauses)
+    queries = [
+        _random_assumptions(rng, num_vars, rng.randint(1, min(3, num_vars)))
+        for _ in range(4)
+    ]
+    return clauses, queries
+
+
+def _reusability_round(seed, num_vars, num_clauses):
+    """A planted instance, an assumption set it refutes, and one extra
+    clause to add afterwards."""
+    rng = random.Random(seed)
+    clauses = planted_cnf(rng, num_vars, num_clauses)
+    refuted = None
+    for _ in range(16):
+        assumptions = _random_assumptions(
+            rng, num_vars, rng.randint(1, num_vars)
+        )
+        fixed = {abs(l): l > 0 for l in assumptions}
+        if not brute_force(clauses, num_vars, fixed):
+            refuted = assumptions
+            break
+    if refuted is None:
+        # The bounded hunt missed (few, wide clauses): assuming every
+        # literal of one clause false refutes it outright.
+        refuted = [-l for l in rng.choice(clauses)]
+    extra = _random_assumptions(rng, num_vars, 1)
+    return clauses, refuted, extra
+
+
+def _add_all(solver, clauses):
+    """Add a planted (satisfiable) instance; the solver must not claim a
+    top-level conflict."""
+    for clause in clauses:
+        assert solver.add_clause(clause), (FUZZ_SEED, clauses)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -105,17 +172,10 @@ class TestRandomCnf:
     def test_assumption_queries_agree(
         self, index, seed, num_vars, num_clauses, backend
     ):
-        rng = random.Random(seed)
-        clauses = random_cnf(rng, num_vars, num_clauses)
+        clauses, queries = _assumption_round(seed, num_vars, num_clauses)
         solver = make_solver(backend)
-        if not all(solver.add_clause(cl) for cl in clauses):
-            pytest.skip("top-level UNSAT: no assumption query to make")
-        for _ in range(4):
-            width = rng.randint(1, min(3, num_vars))
-            chosen = rng.sample(range(1, num_vars + 1), width)
-            assumptions = [
-                v if rng.random() < 0.5 else -v for v in chosen
-            ]
+        _add_all(solver, clauses)
+        for assumptions in queries:
             fixed = {abs(l): l > 0 for l in assumptions}
             expected = brute_force(clauses, num_vars, fixed)
             result = solver.solve(assumptions=assumptions)
@@ -134,37 +194,31 @@ class TestRandomCnf:
         the unconstrained query still answers correctly afterwards, and so
         does a query after adding one more clause (the incremental pattern
         the shared encoding relies on)."""
-        rng = random.Random(seed)
-        clauses = random_cnf(rng, num_vars, num_clauses)
+        clauses, refuted, extra = _reusability_round(
+            seed, num_vars, num_clauses
+        )
         solver = make_solver(backend)
-        if not all(solver.add_clause(cl) for cl in clauses):
-            pytest.skip("top-level UNSAT")
-        baseline = brute_force(clauses, num_vars)
-        # Hunt for an assumption set the formula refutes.
-        refuted = None
-        for _ in range(16):
-            chosen = rng.sample(
-                range(1, num_vars + 1), rng.randint(1, num_vars)
-            )
-            assumptions = [
-                v if rng.random() < 0.5 else -v for v in chosen
-            ]
-            fixed = {abs(l): l > 0 for l in assumptions}
-            if not brute_force(clauses, num_vars, fixed):
-                refuted = assumptions
-                break
-        if refuted is None:
-            pytest.skip("no refutable assumption set found")
+        _add_all(solver, clauses)
         assert not solver.solve(assumptions=refuted).satisfiable
         # The failed query must not have poisoned the solver state.
-        assert solver.solve().satisfiable == baseline, (FUZZ_SEED, index)
-        extra = [
-            v if rng.random() < 0.5 else -v
-            for v in rng.sample(range(1, num_vars + 1), 1)
-        ]
+        assert solver.solve().satisfiable, (FUZZ_SEED, index)
         solver.add_clause(extra)
         expected = brute_force(clauses + [extra], num_vars)
         assert solver.solve().satisfiable == expected, (FUZZ_SEED, index)
+
+
+def test_rounds_are_not_vacuous():
+    """Planted instances are satisfiable, so the assumption rounds must
+    still get UNSAT answers too: most rounds' queries must get both."""
+    mixed = 0
+    for _, seed, num_vars, num_clauses in _instances():
+        clauses, queries = _assumption_round(seed, num_vars, num_clauses)
+        answers = {
+            brute_force(clauses, num_vars, {abs(l): l > 0 for l in q})
+            for q in queries
+        }
+        mixed += answers == {True, False}
+    assert mixed >= ROUNDS // 2, (FUZZ_SEED, mixed)
 
 
 def _trail_saving_sequences():
@@ -188,10 +242,9 @@ class TestTrailSavingSequences:
     def test_prefix_reuse_matches_oracle(self, index, seed):
         rng = random.Random(seed)
         num_vars = rng.randint(4, 10)
-        clauses = random_cnf(rng, num_vars, rng.randint(2, 3 * num_vars))
+        clauses = planted_cnf(rng, num_vars, rng.randint(2, 3 * num_vars))
         solver = make_solver("fast")
-        if not all(solver.add_clause(cl) for cl in clauses):
-            pytest.skip("top-level UNSAT")
+        _add_all(solver, clauses)
         prefix = [
             v if rng.random() < 0.5 else -v
             for v in rng.sample(range(1, num_vars + 1), 2)
