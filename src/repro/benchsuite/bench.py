@@ -98,7 +98,6 @@ class BenchConfig:
     scenarios: int = 2
     jobs: int = 1
     seed: int = 2016
-    shared_encoding: bool = True
     solver_backend: str = "fast"
     quick: bool = False
     workloads: Sequence[str] = field(
@@ -213,7 +212,6 @@ def _bench_pipeline(config: BenchConfig) -> Dict[str, Dict[str, float]]:
                 jobs=config.jobs,
                 cache=PipelineCache(cache_dir),
                 scenarios_per_signature=config.scenarios,
-                shared_encoding=config.shared_encoding,
                 solver_backend=config.solver_backend,
             )
             t0 = time.perf_counter()
@@ -283,7 +281,6 @@ def _bench_accuracy_scaled(config: BenchConfig) -> Dict[str, float]:
     bundles, manifest = AdversarialCorpusGenerator(corpus_config).generate()
     engine = AnalysisAndSynthesisEngine(
         scenarios_per_signature=max(config.scenarios, 4),
-        shared_encoding=config.shared_encoding,
         solver_backend=config.solver_backend,
     )
     t0 = time.perf_counter()
@@ -331,7 +328,8 @@ def _bench_accuracy_scaled(config: BenchConfig) -> Dict[str, float]:
 
 
 def _bench_synthesis_modes(config: BenchConfig) -> Dict[str, float]:
-    """Shared vs per-signature synthesis wall-clock on identical bundles.
+    """Shared encoding vs the per-signature oracle, wall-clock on
+    identical bundles.
 
     The PR 4 tradeoff, measured head-on: the shared encoding saves ~5x
     on translations but used to *lose* end-to-end because every gated
@@ -379,14 +377,14 @@ def _bench_synthesis_modes(config: BenchConfig) -> Dict[str, float]:
     def run_mode(shared: bool) -> Dict[str, float]:
         engine = AnalysisAndSynthesisEngine(
             scenarios_per_signature=config.scenarios,
-            shared_encoding=shared,
             solver_backend=config.solver_backend,
         )
+        run = engine.run if shared else engine.run_per_signature
         t0 = time.perf_counter()
         scenarios = 0
         propagations = 0
         for bundle in bundles:
-            result = engine.run(bundle)
+            result = run(bundle)
             scenarios += len(result.scenarios)
             propagations += result.stats.propagations
         return {
@@ -714,7 +712,6 @@ def _bench_service(config: BenchConfig) -> Dict[str, float]:
     app_dicts = {a.package: serialize.app_to_dict(a) for a in apps}
     session_config = SessionConfig(
         scenarios_per_signature=config.scenarios,
-        shared_encoding=config.shared_encoding,
         solver_backend=config.solver_backend,
     )
     flips = 2 if config.quick else 4

@@ -7,8 +7,7 @@ Usage (``python -m repro <command>``):
   save each app's extracted model as JSON into DIR.
 - ``analyze MODEL.json ...``    -- analyze a bundle of saved app models:
   print scenarios and policies; ``--alloy FILE`` additionally exports the
-  bundle's Alloy specification; ``--jobs N`` fans synthesis across
-  signatures in parallel.
+  bundle's Alloy specification.
 - ``pipeline``                  -- generate a corpus, partition it into
   bundles, and run the parallel cached analysis pipeline end to end;
   ``--jobs N`` controls the process pool, ``--cache-dir`` the persistent
@@ -112,23 +111,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         text = pathlib.Path(path).read_text()
         apps.append(serialize.loads_app(text))
     bundle = BundleModel(apps=apps)
-    if args.jobs > 1:
-        from repro.pipeline import AnalysisPipeline
-
-        pipeline = AnalysisPipeline(
-            jobs=args.jobs,
-            scenarios_per_signature=args.scenarios,
-            shared_encoding=args.shared_encoding,
-            solver_backend=args.solver_backend,
-        )
-        report = pipeline.analyze_bundles([bundle]).reports[0]
-    else:
-        separ = Separ(
-            scenarios_per_signature=args.scenarios,
-            shared_encoding=args.shared_encoding,
-            solver_backend=args.solver_backend,
-        )
-        report = separ.analyze_bundle(bundle)
+    report = Separ(
+        scenarios_per_signature=args.scenarios,
+        solver_backend=args.solver_backend,
+    ).analyze_bundle(bundle)
     print(report.summary())
     for scenario in report.scenarios:
         print(f"\n[{scenario.vulnerability}] {scenario.description}")
@@ -222,7 +208,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         ),
         conflict_budget=args.conflict_budget,
         time_budget_seconds=args.time_budget,
-        shared_encoding=args.shared_encoding,
         solver_backend=args.solver_backend,
     )
     try:
@@ -514,7 +499,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             scenarios_per_signature=args.scenarios,
             conflict_budget=args.conflict_budget,
             time_budget_seconds=args.time_budget,
-            shared_encoding=args.shared_encoding,
             solver_backend=args.solver_backend,
             pdp_backend=args.pdp_backend,
             cache_entries=args.cache_entries,
@@ -710,7 +694,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         scenarios=args.scenarios,
         jobs=args.jobs,
         seed=args.seed,
-        shared_encoding=args.shared_encoding,
         solver_backend=args.solver_backend,
         quick=args.quick,
         **extra,
@@ -773,7 +756,6 @@ def _cmd_adversarial(args: argparse.Namespace) -> int:
 
     engine = AnalysisAndSynthesisEngine(
         scenarios_per_signature=args.scenarios,
-        shared_encoding=args.shared_encoding,
         solver_backend=args.solver_backend,
     )
     per_bundle = []
@@ -888,28 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--alloy", help="also export the bundle's Alloy specification here"
-    )
-    analyze.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for per-signature synthesis "
-        "(default: %(default)s = serial)",
-    )
-    analyze.add_argument(
-        "--shared-encoding",
-        dest="shared_encoding",
-        action="store_true",
-        default=True,
-        help="translate the bundle once and enumerate every signature "
-        "under selector assumptions on one warm solver (default)",
-    )
-    analyze.add_argument(
-        "--per-signature",
-        dest="shared_encoding",
-        action="store_false",
-        help="translate a fresh problem per signature (byte-identical "
-        "findings; finer parallel granularity)",
     )
     analyze.add_argument(
         "--solver-backend",
@@ -1031,21 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 3 if any task failed and 2 if any task degraded "
         "(default: exit 0 whenever the run completes)",
-    )
-    pipeline.add_argument(
-        "--shared-encoding",
-        dest="shared_encoding",
-        action="store_true",
-        default=True,
-        help="one synthesis task per bundle on a shared warm solver "
-        "(default)",
-    )
-    pipeline.add_argument(
-        "--per-signature",
-        dest="shared_encoding",
-        action="store_false",
-        help="one synthesis task per (bundle, signature) pair "
-        "(byte-identical findings; finer parallel granularity)",
     )
     pipeline.add_argument(
         "--solver-backend",
@@ -1274,14 +1219,6 @@ def build_parser() -> argparse.ArgumentParser:
         "degradation semantics (default: unbounded)",
     )
     serve.add_argument(
-        "--per-signature",
-        dest="shared_encoding",
-        action="store_false",
-        default=True,
-        help="use per-signature synthesis instead of the shared-encoding "
-        "default",
-    )
-    serve.add_argument(
         "--solver-backend",
         choices=sorted(SOLVER_BACKENDS),
         default=DEFAULT_BACKEND,
@@ -1405,14 +1342,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: %(default)s)",
     )
     adversarial.add_argument(
-        "--per-signature",
-        dest="shared_encoding",
-        action="store_false",
-        default=True,
-        help="analyze with the per-signature synthesis path instead of "
-        "the shared-encoding default",
-    )
-    adversarial.add_argument(
         "--solver-backend",
         choices=sorted(SOLVER_BACKENDS),
         default=DEFAULT_BACKEND,
@@ -1484,14 +1413,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2016,
         help="corpus/partition seed (default: %(default)s)",
-    )
-    bench.add_argument(
-        "--per-signature",
-        dest="shared_encoding",
-        action="store_false",
-        default=True,
-        help="benchmark the per-signature synthesis path instead of the "
-        "shared-encoding default",
     )
     bench.add_argument(
         "--solver-backend",

@@ -73,14 +73,12 @@ class Separ:
         scenarios_per_signature: int = 8,
         minimal: bool = True,
         handle_dynamic_receivers: bool = False,
-        shared_encoding: bool = True,
         solver_backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.engine = AnalysisAndSynthesisEngine(
             signatures=signatures,
             scenarios_per_signature=scenarios_per_signature,
             minimal=minimal,
-            shared_encoding=shared_encoding,
             solver_backend=solver_backend,
         )
         self.handle_dynamic_receivers = handle_dynamic_receivers
@@ -101,9 +99,10 @@ class Separ:
     ) -> SeparReport:
         """Policy derivation + detection over a precomputed synthesis.
 
-        Split out so the parallel pipeline can fan synthesis out across
-        (bundle, signature) pairs and still assemble the exact report
-        `analyze_bundle` would have produced."""
+        Split out so the parallel pipeline and the ``repro serve``
+        session can take synthesis from a cache or a worker process and
+        still assemble the exact report `analyze_bundle` would have
+        produced."""
         spec = BundleSpec(bundle)
         policies = derive_policies(result.scenarios, bundle, spec)
         detection = SeparDetector().detect(bundle)

@@ -168,11 +168,12 @@ class AnalysisAndSynthesisEngine:
     returned and ``stats.exhausted`` is set, so pathological bundles and
     SAT blow-ups yield partial results rather than sinking the pipeline.
 
-    ``shared_encoding`` (the default) translates the framework + bundle
-    base once per bundle and runs every signature as an assumption-gated
-    query against one persistent solver; per-signature mode re-encodes
-    per signature.  Both modes produce identical scenarios (minimization
-    is canonical), differing only in where the work happens.
+    :meth:`run` translates the framework + bundle base once per bundle
+    and runs every signature as an assumption-gated query against one
+    persistent solver.  :meth:`run_per_signature` re-encodes per
+    signature; it is kept only as the test oracle the shared encoding is
+    checked against (minimization is canonical, so both produce
+    identical scenarios).
     """
 
     def __init__(
@@ -182,7 +183,6 @@ class AnalysisAndSynthesisEngine:
         minimal: bool = True,
         conflict_budget: Optional[int] = None,
         time_budget_seconds: Optional[float] = None,
-        shared_encoding: bool = True,
         solver_backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.signatures = (
@@ -192,7 +192,6 @@ class AnalysisAndSynthesisEngine:
         self.minimal = minimal
         self.conflict_budget = conflict_budget
         self.time_budget_seconds = time_budget_seconds
-        self.shared_encoding = shared_encoding
         # Pure wall-clock knob: backends are verified byte-identical on
         # scenarios, so this never participates in cache keys.
         self.solver_backend = solver_backend
@@ -201,12 +200,17 @@ class AnalysisAndSynthesisEngine:
         #: caller (the ``repro serve`` session) can keep the solver --
         #: learned clauses, saved trail, phase state -- warm between
         #: requests and report its size as telemetry.  ``None`` until the
-        #: first shared run; per-signature runs leave it untouched.
+        #: first shared run; the per-signature oracle leaves it untouched.
         self.last_problem: Optional[RelationalProblem] = None
 
     def run(self, bundle: BundleModel) -> SynthesisResult:
-        if self.shared_encoding:
-            return self.run_shared(bundle)
+        return self.run_shared(bundle)
+
+    def run_per_signature(self, bundle: BundleModel) -> SynthesisResult:
+        """The test oracle: every signature on its own fresh translation
+        (:meth:`run_signature`), merged in signature order.  Production
+        paths call :meth:`run`; the differential suites check it against
+        this."""
         stats = SynthesisStats()
         scenarios: List[ExploitScenario] = []
         for signature in self.signatures:
@@ -216,7 +220,7 @@ class AnalysisAndSynthesisEngine:
         return SynthesisResult(scenarios=scenarios, stats=stats)
 
     # ------------------------------------------------------------------
-    # Shared-encoding mode
+    # Shared encoding
     # ------------------------------------------------------------------
     def run_shared(self, bundle: BundleModel) -> SynthesisResult:
         """Run every signature against one shared, selector-gated problem.
@@ -366,7 +370,8 @@ class AnalysisAndSynthesisEngine:
         )
         # Allocation only: the base is asserted after the groups, and
         # skipped entirely when every group folds to FALSE (a trivially
-        # vulnerability-free bundle costs what per-signature mode pays).
+        # vulnerability-free bundle costs what the per-signature oracle
+        # pays).
         problem = RelationalProblem(
             bounds, rast.TRUE_F, backend=self.solver_backend
         )
@@ -505,9 +510,10 @@ class AnalysisAndSynthesisEngine:
     ) -> SynthesisResult:
         """Run a single signature against the bundle.
 
-        The per-signature unit of work the parallel pipeline fans out:
-        independent of every other signature (modules are mutated by
-        instantiation, so each run builds a fresh embedding)."""
+        The unit of work of the per-signature oracle
+        (:meth:`run_per_signature`): independent of every other signature
+        (modules are mutated by instantiation, so each run builds a fresh
+        embedding)."""
         tracer = get_tracer()
         stats = SynthesisStats()
         with tracer.span(

@@ -89,8 +89,8 @@ class VulnerabilitySignature(abc.ABC):
 
         Returned when the extracted facts already rule the signature out
         (no call edges, no dynamic filters, ...): the constant folds at
-        translation, so the shared-encoding path dead-gates the group and
-        per-signature mode gets a trivially unsatisfiable problem -- both
+        translation, so the shared encoding dead-gates the group and the
+        per-signature oracle gets a trivially unsatisfiable problem -- both
         for free, with no signature atoms added to the universe."""
         return SignatureInstantiation(
             goal=rast.FALSE_F,

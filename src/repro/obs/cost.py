@@ -52,8 +52,9 @@ class CostKey:
     """Attribution coordinates for one account in the ledger.
 
     Empty strings mean "not applicable at this grain": a pipeline run has
-    no device, an extraction task has no signature, a whole-bundle charge
-    uses ``signature='*'`` when per-signature split is unavailable.
+    no device and an extraction task has no signature.  Synthesis charges
+    use ``signature='*'``: every signature of a bundle is solved on one
+    shared solver, whose counters cannot be split per signature.
     """
 
     trace_id: str = ""

@@ -1,20 +1,18 @@
 """The parallel, cached, fault-tolerant analysis/synthesis pipeline.
 
-Extraction is fanned out across apps and synthesis across bundles (the
-default shared-encoding mode: one task per bundle translates the framework
-spec once and enumerates every signature under selector assumptions on one
-warm solver) or across (bundle, vulnerability-signature) pairs
-(``shared_encoding=False``: signatures never share solver state, giving
-finer-grained parallelism at the cost of one full translation per
-signature).  Results flow through the content-addressed
-:class:`~repro.pipeline.cache.PipelineCache`, so a rerun over unchanged
-inputs skips extraction and SAT solving entirely; the two modes use
-disjoint cache keys but produce byte-identical findings.
+Extraction is fanned out across apps and synthesis across bundles: one
+task per bundle translates the framework spec once and enumerates every
+signature under selector assumptions on one warm solver.  Results flow
+through the content-addressed :class:`~repro.pipeline.cache.PipelineCache`,
+so a rerun over unchanged inputs skips extraction and SAT solving
+entirely.  :func:`synthesize_cached` owns the synthesis cache key, the
+payload shape and the cost-ledger rule; the ``repro serve`` session calls
+it too, so its entries and the pipeline's are interchangeable.
 
 Determinism: workers communicate via the canonical JSON forms in
-``repro.core.serialize`` and results are reassembled in (bundle, signature)
-index order, so serial (``jobs=1``) and parallel runs produce byte-identical
-findings and policies.  Signatures are addressed by registry name
+``repro.core.serialize`` and results are reassembled in bundle order, so
+serial (``jobs=1``) and parallel runs produce byte-identical findings and
+policies.  Signatures are addressed by registry name
 (``repro.core.vulnerabilities.lookup``) to stay picklable.
 
 Fault tolerance: every task is dispatched individually (``submit`` +
@@ -122,16 +120,10 @@ class FaultPolicy:
 
 @dataclass
 class _TaskOutcome:
-    """What one task ultimately produced: a payload or a failure.
-
-    ``attribution`` is the cost-ledger key fragment the worker shipped
-    back in its delta envelope (``{"bundle": ..., "signature": ...}``);
-    ``None`` on paths that don't carry the envelope (serial, plain fn).
-    """
+    """What one task ultimately produced: a payload or a failure."""
 
     payload: Any = None
     failure: Optional[TaskFailure] = None
-    attribution: Optional[Dict[str, str]] = None
 
     @property
     def ok(self) -> bool:
@@ -157,6 +149,132 @@ class _RoundResult:
 
 
 # ----------------------------------------------------------------------
+# Synthesis cache: the key, payload and ledger rule shared by the pipeline
+# and the ``repro serve`` session (see :func:`synthesize_cached`).
+
+#: Engine parameters that shape results, and so synthesis cache keys.
+#: ``solver_backend`` is deliberately absent: backends are verified
+#: byte-identical (and budget-exhausted payloads are never cached), so a
+#: cache entry written under one backend is valid under the other.  The
+#: backend travels in the task payload instead.
+ENGINE_PARAMS: Tuple[str, ...] = (
+    "scenarios_per_signature",
+    "minimal",
+    "conflict_budget",
+    "time_budget_seconds",
+)
+
+
+def engine_params(source: Any) -> Dict[str, Any]:
+    """The cache-key parameter block of a pipeline or a session config
+    (anything carrying the :data:`ENGINE_PARAMS` attributes)."""
+    return {name: getattr(source, name) for name in ENGINE_PARAMS}
+
+
+def _packages(apps: Sequence[Dict[str, Any]]) -> str:
+    return ",".join(sorted(a["package"] for a in apps))
+
+
+def _app_content_key(app_dict: Dict[str, Any]) -> str:
+    """Hash of an app's *analysis-relevant* content.
+
+    ``extraction_seconds`` is a wall-clock measurement that changes on
+    every fresh extraction; hashing it would give re-extracted apps new
+    synthesis keys and spuriously miss otherwise-valid cache entries.
+    """
+    return content_hash(
+        {k: v for k, v in app_dict.items() if k != "extraction_seconds"}
+    )
+
+
+def synthesis_payload(result: SynthesisResult) -> Dict[str, Any]:
+    """A synthesis result in the plain form workers return and the cache
+    stores; ``incomplete`` marks a budget-exhausted (uncacheable) one."""
+    return {
+        "scenarios": [
+            serialize.scenario_to_dict(s) for s in result.scenarios
+        ],
+        "stats": result.stats.to_dict(),
+        "incomplete": bool(result.stats.exhausted),
+    }
+
+
+def synthesis_result(payload: Optional[Dict[str, Any]]) -> SynthesisResult:
+    """Decode a :func:`synthesis_payload`; ``None`` (a failed task)
+    decodes to an empty result."""
+    stats = SynthesisStats()
+    if payload is None:
+        return SynthesisResult(scenarios=[], stats=stats)
+    stats.merge(SynthesisStats.from_dict(payload["stats"]))
+    return SynthesisResult(
+        scenarios=[
+            serialize.scenario_from_dict(s) for s in payload["scenarios"]
+        ],
+        stats=stats,
+    )
+
+
+def synthesize_cached(
+    cache: PipelineCache,
+    bundle_apps: Sequence[Sequence[Dict[str, Any]]],
+    signature_names: Sequence[str],
+    params: Dict[str, Any],
+    solve: Callable[[List[int]], List[Optional[Dict[str, Any]]]],
+    device: str = "",
+) -> List[Optional[Dict[str, Any]]]:
+    """One synthesis payload per bundle: a cache hit, or ``solve``'s.
+
+    ``bundle_apps`` holds each bundle's serialized apps.  ``solve`` gets
+    the indices of the bundles the cache missed (possibly none) and
+    returns one payload per index, ``None`` for a task that failed.
+    Solved payloads are stored with ``put``, which refuses incomplete
+    ones.  The ledger rule: a hit charges one ``cache_hits``, a solved
+    bundle one ``cache_misses`` plus its solver stats, each on the
+    bundle's account under the ambient trace id and ``device``, with
+    signature ``*`` (one shared solver answers every signature, so its
+    counters cannot be split).
+    """
+    fingerprint = framework_fingerprint()
+    keys = [
+        content_hash(
+            {
+                "task": "synthesis",
+                "mode": "shared",
+                "apps": sorted(_app_content_key(d) for d in apps),
+                "signatures": list(signature_names),
+                "params": params,
+                "fingerprint": fingerprint,
+            }
+        )
+        for apps in bundle_apps
+    ]
+    payloads = [cache.get("synthesis", key) for key in keys]
+    misses = [i for i, payload in enumerate(payloads) if payload is None]
+    ledger = get_cost_ledger()
+    accounts: List[CostKey] = []
+    if ledger.enabled:
+        tid = current_trace_id() or ""
+        accounts = [
+            CostKey(
+                trace_id=tid, device=device, bundle=_packages(apps), signature="*"
+            )
+            for apps in bundle_apps
+        ]
+        for account, payload in zip(accounts, payloads):
+            if payload is not None:
+                ledger.charge(account, cache_hits=1)
+    for i, payload in zip(misses, solve(misses)):
+        if payload is None:
+            continue
+        payloads[i] = payload
+        if ledger.enabled:
+            ledger.charge(accounts[i], cache_misses=1)
+            ledger.charge_stats(accounts[i], payload["stats"])
+        cache.put("synthesis", keys[i], payload)
+    return payloads
+
+
+# ----------------------------------------------------------------------
 # Worker functions: module-level (picklable), plain-data in and out.
 
 def _extract_worker(task: Tuple[Any, bool]) -> Dict[str, Any]:
@@ -174,43 +292,8 @@ def _extract_worker(task: Tuple[Any, bool]) -> Dict[str, Any]:
     return serialize.app_to_dict(model)
 
 
-def _synthesis_task_key(task: Dict[str, Any]) -> str:
-    packages = ",".join(sorted(a["package"] for a in task["apps"]))
-    return f"{task['signature']}|{packages}"
-
-
-def _synthesis_worker(task: Dict[str, Any]) -> Dict[str, Any]:
-    maybe_inject("synthesis", _synthesis_task_key(task))
-    with get_tracer().span(
-        "pipeline.synthesize",
-        signature=task["signature"],
-        apps=len(task["apps"]),
-    ):
-        bundle = BundleModel(
-            apps=[serialize.app_from_dict(a) for a in task["apps"]]
-        )
-        signature = lookup(task["signature"])()
-        engine = AnalysisAndSynthesisEngine(
-            signatures=[signature],
-            scenarios_per_signature=task["scenarios_per_signature"],
-            minimal=task["minimal"],
-            conflict_budget=task.get("conflict_budget"),
-            time_budget_seconds=task.get("time_budget_seconds"),
-            solver_backend=task.get("solver_backend", DEFAULT_BACKEND),
-        )
-        result = engine.run_signature(bundle, signature)
-    return {
-        "scenarios": [
-            serialize.scenario_to_dict(s) for s in result.scenarios
-        ],
-        "stats": result.stats.to_dict(),
-        "incomplete": bool(result.stats.exhausted),
-    }
-
-
 def _shared_task_key(task: Dict[str, Any]) -> str:
-    packages = ",".join(sorted(a["package"] for a in task["apps"]))
-    return f"shared[{','.join(task['signatures'])}]|{packages}"
+    return f"shared[{','.join(task['signatures'])}]|{_packages(task['apps'])}"
 
 
 def _shared_synthesis_worker(task: Dict[str, Any]) -> Dict[str, Any]:
@@ -232,73 +315,37 @@ def _shared_synthesis_worker(task: Dict[str, Any]) -> Dict[str, Any]:
             minimal=task["minimal"],
             conflict_budget=task.get("conflict_budget"),
             time_budget_seconds=task.get("time_budget_seconds"),
-            shared_encoding=True,
             solver_backend=task.get("solver_backend", DEFAULT_BACKEND),
         )
         result = engine.run_shared(bundle)
-    return {
-        "scenarios": [
-            serialize.scenario_to_dict(s) for s in result.scenarios
-        ],
-        "stats": result.stats.to_dict(),
-        "incomplete": bool(result.stats.exhausted),
-    }
+    return synthesis_payload(result)
 
 
-def _extract_attribution(task: Tuple[Any, bool]) -> Dict[str, str]:
-    return {"bundle": task[0].package, "signature": ""}
-
-
-def _synthesis_attribution(task: Dict[str, Any]) -> Dict[str, str]:
-    packages = ",".join(sorted(a["package"] for a in task["apps"]))
-    # Shared-encoding tasks cover every signature on one solver; the
-    # solver counters cannot be split per signature, so the whole bundle
-    # is one account with the ``*`` signature wildcard.
-    signature = task["signature"] if "signature" in task else "*"
-    return {"bundle": packages, "signature": signature}
-
-
-def _with_metrics_delta(
-    fn: Callable[[T], R], attribution: Dict[str, str], task: T
-) -> Tuple[R, Any, Dict[str, str]]:
+def _with_metrics_delta(fn: Callable[[T], R], task: T) -> Tuple[R, Any]:
     """Run ``fn`` in a pool worker and capture its per-task metrics delta.
 
     The worker's registry is reset before the task (a forked worker
     inherits the parent's counts; a reused worker carries the previous
     task's), so the returned snapshot is exactly what this task added.
     The parent merges it -- only on the parallel path, where in-process
-    increments never happened.  The envelope also carries the cost-ledger
-    attribution key, so the parent can post the delta to the right
-    ``(bundle, signature)`` account.
+    increments never happened.
     """
     metrics = get_metrics()
     if not metrics.enabled:
-        return fn(task), None, attribution
+        return fn(task), None
     metrics.reset()
     payload = fn(task)
-    return payload, metrics.snapshot(), attribution
+    return payload, metrics.snapshot()
 
 
-def _extract_worker_obs(
-    task: Tuple[Any, bool]
-) -> Tuple[Dict[str, Any], Any, Dict[str, str]]:
-    return _with_metrics_delta(_extract_worker, _extract_attribution(task), task)
-
-
-def _synthesis_worker_obs(
-    task: Dict[str, Any]
-) -> Tuple[Dict[str, Any], Any, Dict[str, str]]:
-    return _with_metrics_delta(
-        _synthesis_worker, _synthesis_attribution(task), task
-    )
+def _extract_worker_obs(task: Tuple[Any, bool]) -> Tuple[Dict[str, Any], Any]:
+    return _with_metrics_delta(_extract_worker, task)
 
 
 def _shared_synthesis_worker_obs(
     task: Dict[str, Any]
-) -> Tuple[Dict[str, Any], Any, Dict[str, str]]:
-    return _with_metrics_delta(
-        _shared_synthesis_worker, _synthesis_attribution(task), task
-    )
+) -> Tuple[Dict[str, Any], Any]:
+    return _with_metrics_delta(_shared_synthesis_worker, task)
 
 
 def _traced_call(fn: Callable[[T], R], ctx_dict: Dict[str, Any], task: T) -> R:
@@ -350,6 +397,18 @@ def attach_observability(
     return report
 
 
+def findings_bundle(report: SeparReport) -> Dict[str, Any]:
+    """One bundle's findings in canonical, diffable form: an entry of
+    :meth:`PipelineResult.findings_dict` and a session's ``analyze``
+    answer."""
+    return {
+        "apps": sorted(a.package for a in report.bundle.apps),
+        "scenarios": [serialize.scenario_to_dict(s) for s in report.scenarios],
+        "policies": [serialize.policy_to_dict(p) for p in report.policies],
+        "detection": report.detection.to_dict(),
+    }
+
+
 @dataclass
 class PipelineResult:
     """Everything a pipeline run produced."""
@@ -359,22 +418,7 @@ class PipelineResult:
 
     def findings_dict(self) -> Dict[str, Any]:
         """Canonical findings across all bundles (for files and diffing)."""
-        return {
-            "bundles": [
-                {
-                    "apps": sorted(a.package for a in report.bundle.apps),
-                    "scenarios": [
-                        serialize.scenario_to_dict(s)
-                        for s in report.scenarios
-                    ],
-                    "policies": [
-                        serialize.policy_to_dict(p) for p in report.policies
-                    ],
-                    "detection": report.detection.to_dict(),
-                }
-                for report in self.reports
-            ],
-        }
+        return {"bundles": [findings_bundle(r) for r in self.reports]}
 
 
 class AnalysisPipeline:
@@ -401,7 +445,6 @@ class AnalysisPipeline:
         faults: Optional[FaultPolicy] = None,
         conflict_budget: Optional[int] = None,
         time_budget_seconds: Optional[float] = None,
-        shared_encoding: bool = True,
         solver_backend: str = DEFAULT_BACKEND,
         start_method: Optional[str] = None,
     ) -> None:
@@ -423,7 +466,6 @@ class AnalysisPipeline:
         self.faults = faults if faults is not None else FaultPolicy()
         self.conflict_budget = conflict_budget
         self.time_budget_seconds = time_budget_seconds
-        self.shared_encoding = shared_encoding
         self.solver_backend = solver_backend
 
     # ------------------------------------------------------------------
@@ -553,14 +595,10 @@ class AnalysisPipeline:
 
         def record_success(idx: int, result: Any) -> None:
             if has_delta:
-                payload, delta, attribution = result
+                result, delta = result
                 if delta:
                     metrics.merge(delta)
-                outcomes[idx] = _TaskOutcome(
-                    payload=payload, attribution=attribution
-                )
-            else:
-                outcomes[idx] = _TaskOutcome(payload=result)
+            outcomes[idx] = _TaskOutcome(payload=result)
 
         def consume_attempt(idx: int, kind: str, message: str) -> None:
             nonlocal retry_sleep
@@ -794,69 +832,27 @@ class AnalysisPipeline:
         payload_task: Dict[str, Any],
         payload: Dict[str, Any],
     ) -> None:
-        """Record budget-exhausted synthesis at signature granularity.
+        """Record a budget-exhausted bundle task at signature granularity.
 
-        A per-signature task degrades as a whole; a shared-encoding
-        bundle task records one entry per signature whose enumeration
-        hit the budget (the rest of the bundle's signatures completed),
-        so both modes report the same degradation boundary.
+        One entry per signature whose enumeration hit the budget; the
+        bundle's other signatures completed.
         """
         metrics = get_metrics()
-        packages = ",".join(
-            sorted(a["package"] for a in payload_task["apps"])
-        )
-        if "signatures" in payload_task:
-            per_signature = payload.get("stats", {}).get("per_signature", {})
-            for name in payload_task["signatures"]:
-                entry = per_signature.get(name, {})
-                if not entry.get("exhausted"):
-                    continue
-                metrics.counter("pipeline.degraded_tasks").inc()
-                run_report.degraded.append(
-                    {
-                        "stage": "synthesis",
-                        "task": f"{name}|{packages}",
-                        "reason": "budget_exhausted",
-                        "scenarios": int(entry.get("scenarios", 0)),
-                    }
-                )
-        else:
+        packages = _packages(payload_task["apps"])
+        per_signature = payload["stats"].get("per_signature", {})
+        for name in payload_task["signatures"]:
+            entry = per_signature.get(name, {})
+            if not entry.get("exhausted"):
+                continue
             metrics.counter("pipeline.degraded_tasks").inc()
             run_report.degraded.append(
                 {
                     "stage": "synthesis",
-                    "task": _synthesis_task_key(payload_task),
+                    "task": f"{name}|{packages}",
                     "reason": "budget_exhausted",
-                    "scenarios": len(payload.get("scenarios", [])),
+                    "scenarios": int(entry.get("scenarios", 0)),
                 }
             )
-
-    def _engine_params(self) -> Dict[str, Any]:
-        """Engine parameters that *do* shape results, and so cache keys.
-
-        ``solver_backend`` is deliberately absent: backends are verified
-        byte-identical (and budget-exhausted payloads are never cached),
-        so a cache entry written under one backend is valid under the
-        other.  The backend travels in the task payload instead.
-        """
-        return {
-            "scenarios_per_signature": self.scenarios_per_signature,
-            "minimal": self.minimal,
-            "conflict_budget": self.conflict_budget,
-            "time_budget_seconds": self.time_budget_seconds,
-        }
-
-    @staticmethod
-    def _app_content_key(app_dict: Dict[str, Any]) -> str:
-        """Hash of an app's *analysis-relevant* content.
-
-        ``extraction_seconds`` is a wall-clock measurement that changes on
-        every fresh extraction; hashing it would give re-extracted apps new
-        synthesis keys and spuriously miss otherwise-valid cache entries.
-        """
-        return content_hash(
-            {k: v for k, v in app_dict.items() if k != "extraction_seconds"}
-        )
 
     # ------------------------------------------------------------------
     def extract_apps(
@@ -913,13 +909,8 @@ class AnalysisPipeline:
                     self.cache.put("extract", keys[index], outcome.payload)
                     dicts[index] = outcome.payload
                     if ledger.enabled:
-                        attribution = outcome.attribution or (
-                            _extract_attribution(
-                                (apks[index], self.handle_dynamic_receivers)
-                            )
-                        )
                         ledger.charge(
-                            CostKey(trace_id=tid, **attribution),
+                            CostKey(trace_id=tid, bundle=apks[index].package),
                             cache_misses=1,
                             wall_seconds=float(
                                 outcome.payload.get("extraction_seconds", 0.0)
@@ -978,9 +969,7 @@ class AnalysisPipeline:
         run_report = run_report if run_report is not None else RunReport(jobs=self.jobs)
         run_report.num_bundles += len(bundle_models)
         tracer = get_tracer()
-        metrics = get_metrics()
-        fingerprint = framework_fingerprint()
-        params = self._engine_params()
+        params = engine_params(self)
 
         start = time.perf_counter()
         with tracer.span(
@@ -990,150 +979,53 @@ class AnalysisPipeline:
                 [serialize.app_to_dict(a) for a in bundle.apps]
                 for bundle in bundle_models
             ]
-            app_hashes = [
-                sorted(self._app_content_key(d) for d in apps)
-                for apps in bundle_apps
-            ]
-            if self.shared_encoding:
+
+            def solve(misses: List[int]) -> List[Optional[Dict[str, Any]]]:
                 # One task per bundle: the worker translates once and
                 # enumerates every signature on the shared warm solver.
-                tasks: List[Tuple[int, int]] = [
-                    (b, 0) for b in range(len(bundle_models))
-                ]
-                keys = [
-                    content_hash(
-                        {
-                            "task": "synthesis",
-                            "mode": "shared",
-                            "apps": app_hashes[b],
-                            "signatures": list(self.signature_names),
-                            "params": params,
-                            "fingerprint": fingerprint,
-                        }
-                    )
-                    for b, _ in tasks
-                ]
-            else:
+                stage.set(tasks=len(bundle_models), cache_misses=len(misses))
                 tasks = [
-                    (b, s)
-                    for b in range(len(bundle_models))
-                    for s in range(len(self.signature_names))
-                ]
-                keys = [
-                    content_hash(
-                        {
-                            "task": "synthesis",
-                            "apps": app_hashes[b],
-                            "signature": self.signature_names[s],
-                            "params": params,
-                            "fingerprint": fingerprint,
-                        }
-                    )
-                    for b, s in tasks
-                ]
-            cached: List[Optional[Dict[str, Any]]] = [
-                self.cache.get("synthesis", key) for key in keys
-            ]
-            miss_indices = [i for i, c in enumerate(cached) if c is None]
-            stage.set(tasks=len(tasks), cache_misses=len(miss_indices))
-            if self.shared_encoding:
-                task_payloads = [
                     {
-                        "apps": bundle_apps[tasks[i][0]],
+                        "apps": bundle_apps[i],
                         "signatures": list(self.signature_names),
                         "solver_backend": self.solver_backend,
                         **params,
                     }
-                    for i in miss_indices
+                    for i in misses
                 ]
-                worker, worker_obs = (
+                outcomes = self._map(
                     _shared_synthesis_worker,
-                    _shared_synthesis_worker_obs,
+                    tasks,
+                    stage="synthesis",
+                    labels=[_shared_task_key(t) for t in tasks],
+                    obs_fn=_shared_synthesis_worker_obs,
                 )
-                labels = [_shared_task_key(t) for t in task_payloads]
-            else:
-                task_payloads = [
-                    {
-                        "apps": bundle_apps[tasks[i][0]],
-                        "signature": self.signature_names[tasks[i][1]],
-                        "solver_backend": self.solver_backend,
-                        **params,
-                    }
-                    for i in miss_indices
-                ]
-                worker, worker_obs = _synthesis_worker, _synthesis_worker_obs
-                labels = [_synthesis_task_key(t) for t in task_payloads]
-            outcomes = self._map(
-                worker,
-                task_payloads,
-                stage="synthesis",
-                labels=labels,
-                obs_fn=worker_obs,
+                for task, outcome in zip(tasks, outcomes):
+                    if not outcome.ok:
+                        run_report.failures.append(outcome.failure.to_dict())
+                    elif outcome.payload["incomplete"]:
+                        # Budget-exhausted: keep the partial scenarios and
+                        # report the degradation.  The cache refuses
+                        # incomplete payloads (recording a rejection), so
+                        # a later run with more budget must redo the work.
+                        self._record_degraded(run_report, task, outcome.payload)
+                return [outcome.payload for outcome in outcomes]
+
+            payloads = synthesize_cached(
+                self.cache, bundle_apps, self.signature_names, params, solve
             )
-            ledger = get_cost_ledger()
-            if ledger.enabled:
-                tid = current_trace_id() or ""
-                missed = set(miss_indices)
-                for i, (b, s) in enumerate(tasks):
-                    if i in missed:
-                        continue
-                    packages = ",".join(
-                        sorted(a["package"] for a in bundle_apps[b])
-                    )
-                    signature = (
-                        "*" if self.shared_encoding else self.signature_names[s]
-                    )
-                    ledger.charge(
-                        CostKey(
-                            trace_id=tid, bundle=packages, signature=signature
-                        ),
-                        cache_hits=1,
-                    )
-            for index, payload_task, outcome in zip(
-                miss_indices, task_payloads, outcomes
-            ):
-                if not outcome.ok:
-                    run_report.failures.append(outcome.failure.to_dict())
-                    continue
-                payload = outcome.payload
-                cached[index] = payload
-                if ledger.enabled:
-                    attribution = outcome.attribution or (
-                        _synthesis_attribution(payload_task)
-                    )
-                    key = CostKey(trace_id=tid, **attribution)
-                    ledger.charge(key, cache_misses=1)
-                    ledger.charge_stats(key, payload.get("stats", {}))
-                if payload.get("incomplete"):
-                    # Budget-exhausted: keep the partial scenarios and
-                    # report the degradation.  The cache refuses incomplete
-                    # payloads (recording a rejection), so a later run with
-                    # more budget must redo the work.
-                    self._record_degraded(run_report, payload_task, payload)
-                self.cache.put("synthesis", keys[index], payload)
         run_report.add_stage("synthesis", time.perf_counter() - start)
 
-        # Reassemble in (bundle, signature) index order: exactly the order
-        # the serial engine would have produced.  Failed tasks are simply
-        # absent -- every other (bundle, signature) pair is unaffected.
+        # Reassemble in bundle order: exactly the order the serial engine
+        # would have produced.  A failed bundle task (recorded in
+        # failures) assembles with no scenarios; every other bundle is
+        # unaffected.
         start = time.perf_counter()
         reports: List[SeparReport] = []
         with tracer.span("pipeline.assemble", bundles=len(bundle_models)):
-            for b, bundle in enumerate(bundle_models):
-                scenarios = []
-                stats = SynthesisStats()
-                for i, (tb, _ts) in enumerate(tasks):
-                    if tb != b:
-                        continue
-                    payload = cached[i]
-                    if payload is None:
-                        continue  # task failed; recorded in failures
-                    scenarios.extend(
-                        serialize.scenario_from_dict(s)
-                        for s in payload["scenarios"]
-                    )
-                    stats.merge(SynthesisStats.from_dict(payload["stats"]))
-                result = SynthesisResult(scenarios=scenarios, stats=stats)
+            for bundle, payload in zip(bundle_models, payloads):
+                result = synthesis_result(payload)
+                stats = result.stats
                 report = Separ.assemble_report(bundle, result)
                 reports.append(report)
                 run_report.solver.add_synthesis_stats(stats)

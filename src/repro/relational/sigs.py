@@ -308,7 +308,7 @@ class Module:
 
         ``exclude_fields`` suppresses the implicit multiplicity constraint
         for the given fields; callers re-assert them per goal with
-        :meth:`field_constraint` (shared-encoding mode gates each goal's
+        :meth:`field_constraint` (the shared encoding gates each goal's
         own signature fields with its selector).
         """
         extra = extra or {}

@@ -11,10 +11,11 @@ enforcement loop (Section IX) needs resident between events:
   encoding answers every signature on a single warm solver per
   composition and keeps its :class:`RelationalProblem` addressable
   (``engine.last_problem``) for telemetry;
-- an in-memory content-addressed cache (:class:`MemoryCache`) keyed with
-  *exactly* the pipeline's shared-synthesis key scheme, so any
-  composition this device has been in before -- uninstall/reinstall
-  flips, permission toggles that round-trip -- answers without solving;
+- an in-memory content-addressed cache (:class:`MemoryCache`) read and
+  written through the pipeline's own :func:`synthesize_cached` (same
+  key, payload and ledger code), so any composition this device has been
+  in before -- uninstall/reinstall flips, permission toggles that
+  round-trip -- answers without solving;
 - a resident PDP whose policy set is refreshed through the existing
   invalidation protocol (``pdp.policies = ...``) whenever re-synthesis
   changes it, plus the device's append-only audit trail.
@@ -45,21 +46,20 @@ from repro.core.incremental import DeltaReport, IncrementalAnalyzer, effective_a
 from repro.core.model import AppModel, BundleModel
 from repro.core.policy import IccEvent, PolicyEvent
 from repro.core.separ import Separ, SeparReport
-from repro.core.synthesis import (
-    AnalysisAndSynthesisEngine,
-    SynthesisResult,
-    SynthesisStats,
-)
+from repro.core.synthesis import AnalysisAndSynthesisEngine
 from repro.enforcement import AuditLog, make_pdp
 from repro.enforcement.pdp import deny_all_prompts
-from repro.pipeline.cache import (
-    MemoryCache,
-    PipelineCache,
-    content_hash,
-    framework_fingerprint,
-)
 from repro.obs import CostKey, current_trace_id, get_cost_ledger
-from repro.pipeline.executor import AnalysisPipeline
+from repro.pipeline.cache import MemoryCache, PipelineCache
+from repro.pipeline.executor import (
+    engine_params,
+    findings_bundle,
+    synthesis_payload,
+    synthesis_result,
+    synthesize_cached,
+)
+# Not called here (synthesize_cached hashes keys); perfbench's tracer wraps it.
+from repro.pipeline.executor import content_hash  # noqa: F401
 from repro.sat import DEFAULT_BACKEND
 from repro.service.protocol import ProtocolError
 
@@ -68,32 +68,22 @@ from repro.service.protocol import ProtocolError
 class SessionConfig:
     """Engine + enforcement knobs shared by every session of one server.
 
-    The first five fields mirror the pipeline's ``_engine_params`` (plus
-    the backend knobs that deliberately stay *out* of cache keys), so a
-    session's cache entries are interchangeable with the pipeline's.
+    The first four fields are the pipeline's cache-key parameter block
+    (:data:`~repro.pipeline.executor.ENGINE_PARAMS`); the backends
+    deliberately stay *out* of cache keys, so a session's cache entries
+    are interchangeable with the pipeline's.
     """
 
     scenarios_per_signature: int = 2
     minimal: bool = True
     conflict_budget: Optional[int] = None
     time_budget_seconds: Optional[float] = None
-    shared_encoding: bool = True
     solver_backend: str = DEFAULT_BACKEND
     pdp_backend: str = "compiled"
     #: LRU bound of the per-session synthesis cache (0 = unbounded).
     cache_entries: int = 256
     #: Resident audit window (0 = keep every record).
     audit_window: int = 0
-
-    def engine_params(self) -> Dict[str, Any]:
-        """The cache-key parameter block, shaped exactly like
-        ``AnalysisPipeline._engine_params`` (backends excluded)."""
-        return {
-            "scenarios_per_signature": self.scenarios_per_signature,
-            "minimal": self.minimal,
-            "conflict_budget": self.conflict_budget,
-            "time_budget_seconds": self.time_budget_seconds,
-        }
 
 
 def _make_engine(config: SessionConfig) -> AnalysisAndSynthesisEngine:
@@ -102,22 +92,8 @@ def _make_engine(config: SessionConfig) -> AnalysisAndSynthesisEngine:
         minimal=config.minimal,
         conflict_budget=config.conflict_budget,
         time_budget_seconds=config.time_budget_seconds,
-        shared_encoding=config.shared_encoding,
         solver_backend=config.solver_backend,
     )
-
-
-def findings_bundle(report: SeparReport) -> Dict[str, Any]:
-    """One bundle's findings in the pipeline's canonical diffable shape
-    (the per-bundle entry of ``PipelineResult.findings_dict``)."""
-    return {
-        "apps": sorted(a.package for a in report.bundle.apps),
-        "scenarios": [
-            serialize.scenario_to_dict(s) for s in report.scenarios
-        ],
-        "policies": [serialize.policy_to_dict(p) for p in report.policies],
-        "detection": report.detection.to_dict(),
-    }
 
 
 def cold_analysis(
@@ -227,7 +203,7 @@ class DeviceSession:
     # ------------------------------------------------------------------
     # Cost attribution
     # ------------------------------------------------------------------
-    def _cost_key(self, bundle_label: str, signature: str = "") -> CostKey:
+    def _cost_key(self, bundle_label: str) -> CostKey:
         """This session's ledger account for the ambient request.
 
         The trace id comes from the context the server's batch thread
@@ -240,7 +216,6 @@ class DeviceSession:
             trace_id=current_trace_id() or "",
             device=self.device,
             bundle=bundle_label,
-            signature=signature,
         )
 
     # ------------------------------------------------------------------
@@ -425,15 +400,7 @@ class DeviceSession:
         if not self._dirty and self._report is not None:
             return self._report
         bundle = self.current_bundle()
-        payload = self._synthesis_payload(bundle)
-        stats = SynthesisStats()
-        stats.merge(SynthesisStats.from_dict(payload["stats"]))
-        result = SynthesisResult(
-            scenarios=[
-                serialize.scenario_from_dict(s) for s in payload["scenarios"]
-            ],
-            stats=stats,
-        )
+        result = synthesis_result(self._synthesis_payload(bundle))
         self._report = Separ.assemble_report(bundle, result)
         # The existing invalidation protocol: assigning the policy list
         # recompiles the compiled backend's index and flushes its
@@ -443,106 +410,30 @@ class DeviceSession:
         return self._report
 
     def _synthesis_payload(self, bundle: BundleModel) -> Dict[str, Any]:
-        """The composition's synthesis payload: cache hit or fresh solve.
+        """The composition's synthesis payload: cache hit or fresh solve
+        on the warm engine, through the pipeline's own
+        :func:`synthesize_cached`.  Degraded (budget-exhausted) payloads
+        pass through to the caller but are never cached."""
 
-        Keys replicate the pipeline executor's scheme exactly (same app
-        content hashing, same parameter block, same framework
-        fingerprint), so session entries and pipeline entries are the
-        same currency.  Degraded (budget-exhausted) payloads pass
-        through to the caller but are never cached -- ``MemoryCache``
-        inherits the pipeline's rejection rule.
-        """
-        app_dicts = [serialize.app_to_dict(a) for a in bundle.apps]
-        app_hashes = sorted(
-            AnalysisPipeline._app_content_key(d) for d in app_dicts
+        def solve(misses: List[int]) -> List[Dict[str, Any]]:
+            if not misses:
+                self.warm_hits += 1
+            self.syntheses += len(misses)
+            return [
+                synthesis_payload(self.engine.run_shared(bundle))
+                for _ in misses
+            ]
+
+        self.warm_lookups += 1
+        [payload] = synthesize_cached(
+            self.cache,
+            [[serialize.app_to_dict(a) for a in bundle.apps]],
+            self.signature_names,
+            engine_params(self.config),
+            solve,
+            device=self.device,
         )
-        fingerprint = framework_fingerprint()
-        params = self.config.engine_params()
-        ledger = get_cost_ledger()
-        bundle_label = ",".join(sorted(a.package for a in bundle.apps))
-        if self.config.shared_encoding:
-            key = content_hash(
-                {
-                    "task": "synthesis",
-                    "mode": "shared",
-                    "apps": app_hashes,
-                    "signatures": list(self.signature_names),
-                    "params": params,
-                    "fingerprint": fingerprint,
-                }
-            )
-            self.warm_lookups += 1
-            cached = self.cache.get("synthesis", key)
-            if cached is not None:
-                self.warm_hits += 1
-                if ledger.enabled:
-                    ledger.charge(
-                        self._cost_key(bundle_label, "*"), cache_hits=1
-                    )
-                return cached
-            result = self.engine.run_shared(bundle)
-            payload = {
-                "scenarios": [
-                    serialize.scenario_to_dict(s) for s in result.scenarios
-                ],
-                "stats": result.stats.to_dict(),
-                "incomplete": bool(result.stats.exhausted),
-            }
-            self.syntheses += 1
-            if ledger.enabled:
-                cost_key = self._cost_key(bundle_label, "*")
-                ledger.charge(cost_key, cache_misses=1)
-                ledger.charge_stats(cost_key, payload["stats"])
-            self.cache.put("synthesis", key, payload)
-            return payload
-        # Per-signature mode: one entry per (composition, signature),
-        # merged in signature order -- the executor's assembly order.
-        scenarios: List[Dict[str, Any]] = []
-        stats = SynthesisStats()
-        incomplete = False
-        for signature in self.engine.signatures:
-            key = content_hash(
-                {
-                    "task": "synthesis",
-                    "apps": app_hashes,
-                    "signature": signature.name,
-                    "params": params,
-                    "fingerprint": fingerprint,
-                }
-            )
-            self.warm_lookups += 1
-            payload = self.cache.get("synthesis", key)
-            if payload is not None:
-                self.warm_hits += 1
-                if ledger.enabled:
-                    ledger.charge(
-                        self._cost_key(bundle_label, signature.name),
-                        cache_hits=1,
-                    )
-            else:
-                result = self.engine.run_signature(bundle, signature)
-                payload = {
-                    "scenarios": [
-                        serialize.scenario_to_dict(s)
-                        for s in result.scenarios
-                    ],
-                    "stats": result.stats.to_dict(),
-                    "incomplete": bool(result.stats.exhausted),
-                }
-                self.syntheses += 1
-                if ledger.enabled:
-                    cost_key = self._cost_key(bundle_label, signature.name)
-                    ledger.charge(cost_key, cache_misses=1)
-                    ledger.charge_stats(cost_key, payload["stats"])
-                self.cache.put("synthesis", key, payload)
-            scenarios.extend(payload["scenarios"])
-            stats.merge(SynthesisStats.from_dict(payload["stats"]))
-            incomplete = incomplete or bool(payload.get("incomplete"))
-        return {
-            "scenarios": scenarios,
-            "stats": stats.to_dict(),
-            "incomplete": incomplete,
-        }
+        return payload
 
     # ------------------------------------------------------------------
     # Request dispatch (the server's worker calls this)

@@ -73,10 +73,9 @@ def _by_signature(result):
 
 
 def _run(bundle, shared, **kwargs):
-    engine = AnalysisAndSynthesisEngine(
-        scenarios_per_signature=4, shared_encoding=shared, **kwargs
-    )
-    return engine.run(bundle)
+    """The production shared encoding, or the per-signature oracle."""
+    engine = AnalysisAndSynthesisEngine(scenarios_per_signature=4, **kwargs)
+    return engine.run(bundle) if shared else engine.run_per_signature(bundle)
 
 
 def _random_bundles(apks, flagged, count, size):

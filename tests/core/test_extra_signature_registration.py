@@ -42,9 +42,10 @@ def result(request, bundle):
     engine = AnalysisAndSynthesisEngine(
         signatures=default_signatures() + [ExoticSignature()],
         scenarios_per_signature=2,
-        shared_encoding=request.param,
     )
-    return engine.run(bundle)
+    if request.param:
+        return engine.run(bundle)
+    return engine.run_per_signature(bundle)
 
 
 def test_stats_record_the_extra_signature(result):

@@ -235,16 +235,10 @@ def _refuse(*args, **kwargs):
     raise AssertionError("analysis ran against a filled cache")
 
 
-@pytest.mark.parametrize("shared_encoding", [True, False])
-def test_cache_filled_under_reference_keys_still_hits(
-    tmp_path, monkeypatch, shared_encoding
-):
+def test_cache_filled_under_reference_keys_still_hits(tmp_path, monkeypatch):
     def pipeline():
         return AnalysisPipeline(
-            jobs=1,
-            cache=PipelineCache(tmp_path),
-            scenarios_per_signature=2,
-            shared_encoding=shared_encoding,
+            jobs=1, cache=PipelineCache(tmp_path), scenarios_per_signature=2
         )
 
     with monkeypatch.context() as patch:
@@ -253,8 +247,7 @@ def test_cache_filled_under_reference_keys_still_hits(
     lookups = cold.run_report.cache.total_misses
     assert lookups > 0 and cold.run_report.cache.total_hits == 0
 
-    for worker in ("_extract_worker", "_synthesis_worker",
-                   "_shared_synthesis_worker"):
+    for worker in ("_extract_worker", "_shared_synthesis_worker"):
         monkeypatch.setattr(executor_mod, worker, _refuse)
     warm = pipeline().run([[build_app1(), build_app2()]])
     assert warm.run_report.failures == []

@@ -8,13 +8,12 @@ invariants: a fault never aborts the run, never double-counts metrics,
 never poisons the cache, and never perturbs the findings of unaffected
 tasks.
 
-Task granularity matters here: the default shared-encoding mode issues
-one synthesis task per *bundle*, while per-signature mode issues one per
-(bundle, signature) pair.  Tests that pin signature-level fault
-isolation construct their pipelines with ``shared_encoding=False``;
-recovery tests whose assertions are granularity-independent run on the
-shared default, and ``TestSharedModeFaults`` covers the bundle-level
-failure unit explicitly."""
+The synthesis failure unit is the *bundle*: one shared-encoding task per
+bundle, labelled ``shared[<signatures>]|<packages>``.  Tests that need
+several tasks in flight run the three running-example bundles
+``[app1]``, ``[app2]`` and ``[app1, app2]`` and match faults on the
+package suffix of the label: ``|com.example.navigation`` selects the
+``[app1]`` task alone, ``messenger`` both tasks that contain app2."""
 
 import json
 import os
@@ -83,6 +82,25 @@ def _scenarios_by_vuln(result):
 
 def _findings_bytes(result):
     return json.dumps(result.findings_dict(), sort_keys=True).encode()
+
+
+#: Matches only the ``[app1]`` bundle task's label.
+APP1_ONLY = "|com.example.navigation"
+
+
+def _three_bundles():
+    """``[app1]``, ``[app2]`` and ``[app1, app2]``: three synthesis tasks
+    with three distinct labels."""
+    app1, app2 = build_app1(), build_app2()
+    return [[app1], [app2], [app1, app2]]
+
+
+def _bundle_findings(result):
+    """Canonical findings per bundle, keyed by the bundle's packages."""
+    return {
+        ",".join(entry["apps"]): json.dumps(entry, sort_keys=True)
+        for entry in result.findings_dict()["bundles"]
+    }
 
 
 class TestFaultSpecParsing:
@@ -188,15 +206,15 @@ class TestSerialFaultPaths:
         assert _findings_bytes(faulted) == _findings_bytes(clean)
 
     def test_persistent_error_becomes_structured_failure(self, arm_fault):
-        # Signature-level fault isolation exists only in per-signature
-        # mode; a shared bundle task would take every signature with it.
-        arm_fault("synthesis:error:1.0:match=intent_hijack")
+        clean = AnalysisPipeline(jobs=1, scenarios_per_signature=3).run(
+            _three_bundles()
+        )
+        arm_fault(f"synthesis:error:1.0:match={APP1_ONLY}")
         result = AnalysisPipeline(
             jobs=1,
             scenarios_per_signature=3,
             faults=FaultPolicy(max_retries=1, backoff_seconds=0.0),
-            shared_encoding=False,
-        ).run([_apks()])
+        ).run(_three_bundles())
         report = result.run_report
         assert len(report.failures) == 1
         failure = report.failures[0]
@@ -204,11 +222,15 @@ class TestSerialFaultPaths:
         assert failure["kind"] == "error"
         assert failure["attempts"] == 2  # first try + one retry
         assert "InjectedFault" in failure["error"]
-        assert "intent_hijack" in failure["task"]
-        # Every other signature still produced its scenarios.
-        grouped = _scenarios_by_vuln(result)
-        assert "intent_hijack" not in grouped
-        assert "service_launch" in grouped and "information_leak" in grouped
+        assert failure["task"].endswith(APP1_ONLY)
+        # The failed bundle assembles empty; every other bundle still
+        # produced exactly its clean findings.
+        assert result.reports[0].scenarios == []
+        faulted = _bundle_findings(result)
+        expected = _bundle_findings(clean)
+        del faulted["com.example.navigation"]
+        del expected["com.example.navigation"]
+        assert faulted == expected
 
     def test_extract_failure_drops_app_not_run(self, arm_fault):
         arm_fault("extract:error:1.0:match=com.example.messenger")
@@ -230,73 +252,68 @@ class TestWorkerCrashIsolation:
     def test_persistent_crash_is_attributed_and_isolated(self, arm_fault):
         """A worker that keeps dying takes down only its own task: the
         crash is attributed to it via isolation re-runs, and every other
-        (bundle, signature) pair's findings are byte-identical to a clean
-        serial run."""
-        clean = AnalysisPipeline(
-            jobs=1, scenarios_per_signature=3, shared_encoding=False
-        ).run([_apks()])
-        arm_fault("synthesis:crash:1.0:match=intent_hijack")
+        bundle's findings are byte-identical to a clean serial run."""
+        clean = AnalysisPipeline(jobs=1, scenarios_per_signature=3).run(
+            _three_bundles()
+        )
+        arm_fault(f"synthesis:crash:1.0:match={APP1_ONLY}")
         faulted = AnalysisPipeline(
             jobs=2,
             scenarios_per_signature=3,
             faults=FaultPolicy(max_retries=1, backoff_seconds=0.0),
-            shared_encoding=False,
-        ).run([_apks()])
+        ).run(_three_bundles())
         report = faulted.run_report
         assert len(report.failures) == 1
         failure = report.failures[0]
         assert failure["kind"] == "crash"
         assert failure["attempts"] == 2
-        assert "intent_hijack" in failure["task"]
+        assert failure["task"].endswith(APP1_ONLY)
         assert not report.clean
 
-        clean_grouped = _scenarios_by_vuln(clean)
-        faulted_grouped = _scenarios_by_vuln(faulted)
-        assert "intent_hijack" not in faulted_grouped
-        clean_grouped.pop("intent_hijack", None)
-        assert faulted_grouped == clean_grouped
+        assert faulted.reports[0].scenarios == []
+        clean_bundles = _bundle_findings(clean)
+        faulted_bundles = _bundle_findings(faulted)
+        del clean_bundles["com.example.navigation"]
+        del faulted_bundles["com.example.navigation"]
+        assert faulted_bundles == clean_bundles
 
     def test_crash_once_recovers_exactly(self, arm_fault):
         """One crash breaks the pool; the respawned pool re-runs the task
         and the final findings are byte-identical to a clean run.
 
-        Per-signature mode: crashes only fire in subprocess workers, and
-        one bundle is a single (in-process) task under the shared
-        encoding."""
-        clean = AnalysisPipeline(
-            jobs=2, scenarios_per_signature=3, shared_encoding=False
-        ).run([_apks()])
-        arm_fault("synthesis:crash:1.0:once:match=service_launch")
+        Three bundles: crashes only fire in subprocess workers, and a
+        single task runs in-process."""
+        clean = AnalysisPipeline(jobs=2, scenarios_per_signature=3).run(
+            _three_bundles()
+        )
+        arm_fault(f"synthesis:crash:1.0:once:match={APP1_ONLY}")
         faulted = AnalysisPipeline(
             jobs=2,
             scenarios_per_signature=3,
             faults=FaultPolicy(max_retries=2, backoff_seconds=0.0),
-            shared_encoding=False,
-        ).run([_apks()])
+        ).run(_three_bundles())
         assert faulted.run_report.failures == []
         assert _findings_bytes(faulted) == _findings_bytes(clean)
 
 
 class TestPerTaskTimeout:
     def test_hanging_task_times_out(self, arm_fault):
-        arm_fault("synthesis:hang:1.0:match=information_leak")
+        arm_fault(f"synthesis:hang:1.0:match={APP1_ONLY}")
         result = AnalysisPipeline(
             jobs=2,
             scenarios_per_signature=3,
             faults=FaultPolicy(
                 task_timeout=1.0, max_retries=0, backoff_seconds=0.0
             ),
-            shared_encoding=False,
-        ).run([_apks()])
+        ).run(_three_bundles())
         report = result.run_report
         assert len(report.failures) == 1
         failure = report.failures[0]
         assert failure["kind"] == "timeout"
-        assert "information_leak" in failure["task"]
+        assert failure["task"].endswith(APP1_ONLY)
         assert failure["attempts"] == 1
-        grouped = _scenarios_by_vuln(result)
-        assert "information_leak" not in grouped
-        assert "intent_hijack" in grouped
+        assert result.reports[0].scenarios == []
+        assert result.reports[1].scenarios and result.reports[2].scenarios
 
     def test_timeout_kill_spares_healthy_inflight_peer(self, arm_fault):
         """Regression: a timeout kills the whole pool generation, and the
@@ -306,34 +323,29 @@ class TestPerTaskTimeout:
         the timeout victim may be charged; delayed-but-healthy peers must
         rejoin the batch and complete.
 
-        Choreography (jobs=2, timeout=2.5s): ``intent_hijack`` hangs
-        forever and ``service_launch`` sleeps 1s, so both workers are
-        busy from t=0; ``service_launch`` finishes and frees its worker
-        for ``information_leak`` (sleeps 1.5s), which is therefore still
-        mid-flight -- and nowhere near its own timeout -- when the hang
-        victim's deadline tears the generation down at t=2.5."""
+        Choreography (jobs=2, timeout=2.5s): ``[app1]`` hangs forever and
+        ``[app2]`` sleeps 1s, so both workers are busy from t=0;
+        ``[app2]`` finishes and frees its worker for ``[app1, app2]``
+        (sleeps 1s + 0.5s), which is therefore still mid-flight -- and
+        nowhere near its own timeout -- when the hang victim's deadline
+        tears the generation down at t=2.5."""
         arm_fault(
-            "synthesis:hang:1.0:match=intent_hijack,"
-            "synthesis:hang:1.0:secs=1.0:match=service_launch,"
-            "synthesis:hang:1.0:secs=1.5:match=information_leak"
+            f"synthesis:hang:1.0:match={APP1_ONLY},"
+            "synthesis:hang:1.0:secs=1.0:match=messenger,"
+            "synthesis:hang:1.0:secs=0.5:match=navigation"
         )
         result = AnalysisPipeline(
             jobs=2,
-            signature_names=[
-                "intent_hijack", "service_launch", "information_leak"
-            ],
             scenarios_per_signature=3,
             faults=FaultPolicy(
                 task_timeout=2.5, max_retries=0, backoff_seconds=0.0
             ),
-            shared_encoding=False,
-        ).run([_apks()])
+        ).run(_three_bundles())
         report = result.run_report
         assert [f["kind"] for f in report.failures] == ["timeout"]
-        assert "intent_hijack" in report.failures[0]["task"]
-        grouped = _scenarios_by_vuln(result)
-        assert "service_launch" in grouped
-        assert "information_leak" in grouped
+        assert report.failures[0]["task"].endswith(APP1_ONLY)
+        assert result.reports[1].scenarios
+        assert result.reports[2].scenarios
 
 
 class TestBudgetDegradation:
@@ -357,25 +369,28 @@ class TestBudgetDegradation:
         assert result.stats.exhausted
 
     def test_degraded_round_trip_and_never_cached(self, tmp_path):
-        # Per-signature mode: each degraded task is its own cache entry,
-        # so rejections and misses count 1:1 with degraded entries.
+        # Three bundle tasks, each one cache entry: rejections and warm
+        # misses count 1:1 with the bundles that degraded.
         cache_dir = tmp_path / "cache"
         pipe = AnalysisPipeline(
             jobs=1,
             scenarios_per_signature=3,
             cache=PipelineCache(cache_dir),
             conflict_budget=0,
-            shared_encoding=False,
         )
-        report = pipe.run([_apks()]).run_report
+        report = pipe.run(_three_bundles()).run_report
         assert report.degraded
         for entry in report.degraded:
             assert entry["stage"] == "synthesis"
             assert entry["reason"] == "budget_exhausted"
         assert not report.clean
+        degraded_bundles = {
+            entry["task"].split("|", 1)[1] for entry in report.degraded
+        }
+        assert len(degraded_bundles) > 1
         # The cache refused every degraded payload and counted it.
         assert report.cache.rejections.get("synthesis") == len(
-            report.degraded
+            degraded_bundles
         )
         # A rerun must redo the degraded work: only complete payloads hit.
         warm = AnalysisPipeline(
@@ -383,9 +398,8 @@ class TestBudgetDegradation:
             scenarios_per_signature=3,
             cache=PipelineCache(cache_dir),
             conflict_budget=0,
-            shared_encoding=False,
-        ).run([_apks()]).run_report
-        assert warm.cache.misses.get("synthesis") == len(report.degraded)
+        ).run(_three_bundles()).run_report
+        assert warm.cache.misses.get("synthesis") == len(degraded_bundles)
         # Failures/degraded/rejections survive serialization.
         restored = RunReport.loads(report.dumps())
         assert restored.degraded == report.degraded
@@ -393,14 +407,13 @@ class TestBudgetDegradation:
         assert restored.cache.rejections == report.cache.rejections
 
     def test_summary_counts_failures_and_degraded(self, arm_fault):
-        arm_fault("synthesis:error:1.0:match=intent_hijack")
+        arm_fault(f"synthesis:error:1.0:match={APP1_ONLY}")
         report = AnalysisPipeline(
             jobs=1,
             scenarios_per_signature=2,
             conflict_budget=0,
             faults=FaultPolicy(max_retries=0, backoff_seconds=0.0),
-            shared_encoding=False,
-        ).run([_apks()]).run_report
+        ).run(_three_bundles()).run_report
         summary = summarize_run_report(report)
         assert summary["num_failures"] == 1.0
         assert summary["num_degraded"] == float(len(report.degraded))
@@ -432,8 +445,8 @@ class TestSharedModeFaults:
 
     def test_shared_degraded_records_per_signature(self, tmp_path):
         """One incomplete bundle payload still reports degradation at
-        signature granularity (same boundary as per-signature mode), and
-        the cache refuses it as the single entry it is."""
+        signature granularity, and the cache refuses it as the single
+        entry it is."""
         cache_dir = tmp_path / "cache"
         report = AnalysisPipeline(
             jobs=1,
@@ -468,8 +481,7 @@ class TestMetricsNoDoubleCount:
         solver/engine counters match a clean serial run exactly (timing
         histograms keep their counts; their sums are wall-clock).
 
-        Per-signature mode: a pool break needs several tasks in flight,
-        and one bundle is a single task under the shared encoding."""
+        Three bundles: a pool break needs several tasks in flight."""
         from repro.obs import metrics as obs_metrics
 
         def comparable(snapshot):
@@ -489,21 +501,20 @@ class TestMetricsNoDoubleCount:
         try:
             serial_registry = obs_metrics.MetricsRegistry()
             obs_metrics.set_metrics(serial_registry)
-            AnalysisPipeline(
-                jobs=1, scenarios_per_signature=3, shared_encoding=False
-            ).run([_apks()])
+            AnalysisPipeline(jobs=1, scenarios_per_signature=3).run(
+                _three_bundles()
+            )
             serial = comparable(serial_registry.snapshot())
 
             os.environ.pop(FAULT_PARENT_ENV, None)
-            arm_fault("synthesis:crash:1.0:once:match=service_launch")
+            arm_fault(f"synthesis:crash:1.0:once:match={APP1_ONLY}")
             broken_registry = obs_metrics.MetricsRegistry()
             obs_metrics.set_metrics(broken_registry)
             result = AnalysisPipeline(
                 jobs=2,
                 scenarios_per_signature=3,
                 faults=FaultPolicy(max_retries=2, backoff_seconds=0.0),
-                shared_encoding=False,
-            ).run([_apks()])
+            ).run(_three_bundles())
             snapshot = broken_registry.snapshot()
             broken = comparable(snapshot)
 

@@ -119,14 +119,9 @@ class TestAttachObservability:
 
 class TestTracedPipelineRun:
     def test_spans_cover_every_stage_and_synthesis_call(self, observed):
-        # Per-signature mode: this test pins the per-(bundle, signature)
-        # span topology; the shared-encoding worker span
-        # (pipeline.synthesize_bundle) is covered by the CLI trace test.
         tracer, registry = observed
         apks = [build_app1(), build_app2()]
-        pipeline = AnalysisPipeline(
-            jobs=1, scenarios_per_signature=2, shared_encoding=False
-        )
+        pipeline = AnalysisPipeline(jobs=1, scenarios_per_signature=2)
         result = pipeline.run([apks])
         names = {r.name for r in tracer.records}
         # Every stage...
@@ -135,20 +130,28 @@ class TestTracedPipelineRun:
             "pipeline.assemble",
         ):
             assert stage in names
-        # ...every per-app extraction and per-(bundle, signature) call.
+        # ...every per-app extraction and the one per-bundle synthesis.
         per_app = [r for r in tracer.records if r.name == "pipeline.extract_app"]
-        per_sig = [r for r in tracer.records if r.name == "pipeline.synthesize"]
+        per_bundle = [
+            r for r in tracer.records if r.name == "pipeline.synthesize_bundle"
+        ]
         assert len(per_app) == 2
-        assert len(per_sig) == len(pipeline.signature_names)
-        # The engine's inner spans nest under the worker span.
-        sig_ids = {r.span_id for r in per_sig}
-        inner = [r for r in tracer.records if r.name == "ase.signature"]
-        assert inner and all(r.parent_id in sig_ids for r in inner)
+        assert len(per_bundle) == 1
+        # The engine's spans nest under the worker span: one shared
+        # bundle run, then one solve per signature inside it.
+        bundle_ids = {r.span_id for r in per_bundle}
+        inner = [r for r in tracer.records if r.name == "ase.bundle"]
+        assert len(inner) == 1 and inner[0].parent_id in bundle_ids
+        solves = [r for r in tracer.records if r.name == "ase.solve"]
+        assert len(solves) == len(pipeline.signature_names)
+        assert all(r.parent_id == inner[0].span_id for r in solves)
         # Aggregates landed in the run report, metrics included.
         report = result.run_report
-        assert report.spans["pipeline.synthesize"]["count"] == len(per_sig)
+        assert report.spans["pipeline.synthesize_bundle"]["count"] == 1
         assert report.metrics["ame.apps_extracted"]["value"] == 2
-        assert registry.counter("ase.signature_runs").value == len(per_sig)
+        assert registry.counter("ase.signature_runs").value == len(
+            pipeline.signature_names
+        )
 
     def test_observability_does_not_change_findings(self, observed):
         """Byte-identity guard: tracing, metrics, AND cost attribution all

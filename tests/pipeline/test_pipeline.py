@@ -234,18 +234,3 @@ class TestCli:
         assert report.num_bundles > 0
         findings = json.loads(findings_path.read_text())
         assert len(findings["bundles"]) == report.num_bundles
-
-    def test_analyze_jobs_flag(self, tmp_path, capsys):
-        from repro.cli import main
-
-        paths = []
-        from repro.statics import extract_app
-
-        for apk in (build_app1(), build_app2()):
-            model = extract_app(apk)
-            path = tmp_path / f"{model.package}.json"
-            path.write_text(serialize.dumps_app(model))
-            paths.append(str(path))
-        assert main(["analyze", *paths, "--scenarios", "2", "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "bundle:" in out

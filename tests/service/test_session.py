@@ -236,7 +236,6 @@ class TestColdComparator:
         bundle = BundleModel(apps=sorted(apps, key=lambda a: a.package))
         separ = Separ(
             scenarios_per_signature=CONFIG.scenarios_per_signature,
-            shared_encoding=CONFIG.shared_encoding,
             solver_backend=CONFIG.solver_backend,
         )
         assert canon(cold_analysis(apps, CONFIG)) == canon(
