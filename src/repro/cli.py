@@ -131,10 +131,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     from repro.obs import (
-        enable_cost_ledger,
+        CostLedger,
         enable_metrics,
         enable_progress,
         enable_tracing,
+        set_cost_ledger,
     )
     from repro.pipeline import (
         AnalysisPipeline,
@@ -164,7 +165,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         pathlib.Path(trace_path).write_text("")
         enable_tracing(trace_path)
     enable_metrics()
-    enable_cost_ledger()
 
     monitor = None
     if args.watch:
@@ -210,6 +210,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         time_budget_seconds=args.time_budget,
         solver_backend=args.solver_backend,
     )
+    # A fresh ledger per run, restored afterwards: a second in-process
+    # run must not report the first one's accounts.
+    previous_ledger = set_cost_ledger(CostLedger())
     try:
         result = pipeline.run(bundles)
         report = result.run_report
@@ -218,6 +221,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             report, trace_path=trace_path if trace_path else None
         )
     finally:
+        set_cost_ledger(previous_ledger)
         if monitor is not None:
             monitor.stop()
         if ephemeral_trace:

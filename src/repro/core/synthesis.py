@@ -13,6 +13,7 @@ solving time are recorded separately.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -21,9 +22,9 @@ from repro.core.app_to_spec import BundleSpec
 from repro.core.model import BundleModel
 from repro.core.vulnerabilities import default_signatures
 from repro.core.vulnerabilities.base import ExploitScenario, VulnerabilitySignature
-from repro.obs import get_metrics, get_tracer
+from repro.obs import CostKey, CostLedger, get_metrics, get_tracer
 from repro.relational import ast as rast
-from repro.relational.problem import RelationalProblem
+from repro.relational.problem import RelationalProblem, SolveStats
 from repro.relational.sigs import Module, Sig
 from repro.sat import DEFAULT_BACKEND
 from repro.sat.solver import BudgetExhausted
@@ -33,11 +34,16 @@ from repro.sat.solver import BudgetExhausted
 class SynthesisStats:
     """Construction vs solving time, per signature and total (Table II).
 
+    The one counters record: the cache stores it, the run report merges
+    it (``solver``), the cost ledger bills it (:meth:`charge`).  Its
+    fields are the list of counters that :meth:`merge`, :meth:`to_dict`
+    and :meth:`from_dict` walk.
+
     Solver counters (conflicts/decisions/propagations) are accumulated
     across every SAT call the signatures triggered, for the pipeline run
-    report.  ``exhausted`` marks a run that hit its conflict or wall-clock
-    budget and stopped early: the scenario list is a prefix of what an
-    unbounded run would have found.
+    report.  ``exhausted`` marks a run that hit its conflict or
+    wall-clock budget and stopped early: the scenario list is a prefix of
+    what an unbounded run would have found.
 
     The reuse counters quantify shared-encoding savings: ``translations``
     counts relational-to-CNF translations actually performed,
@@ -61,24 +67,16 @@ class SynthesisStats:
     exhausted: bool = False
     # Which solver backend produced these numbers ("reference"/"fast");
     # "mixed" after merging blocks from different backends, "" when
-    # unknown (stats deserialized from an older cache entry).
+    # unknown (nothing solved yet, or an older cache entry).
     backend: str = ""
     per_signature: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def merge(self, other: "SynthesisStats") -> None:
-        """Fold another stats block into this one (pipeline roll-up)."""
-        self.construction_seconds += other.construction_seconds
-        self.solving_seconds += other.solving_seconds
-        self.num_vars += other.num_vars
-        self.num_clauses += other.num_clauses
-        self.conflicts += other.conflicts
-        self.decisions += other.decisions
-        self.propagations += other.propagations
-        self.solver_calls += other.solver_calls
-        self.translations += other.translations
-        self.translations_avoided += other.translations_avoided
-        self.clauses_shared += other.clauses_shared
-        self.learned_carried += other.learned_carried
+        """Fold another stats block into this one (pipeline roll-up):
+        numbers add, ``exhausted`` ORs, differing backends fold to
+        ``"mixed"``."""
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.exhausted = self.exhausted or other.exhausted
         if not self.backend:
             self.backend = other.backend
@@ -91,49 +89,49 @@ class SynthesisStats:
             for key, value in values.items():
                 mine[key] = mine.get(key, 0.0) + value
 
+    def charge(self, ledger: CostLedger, key: CostKey) -> None:
+        """Book this record's solver work on ``ledger``'s ``key`` account."""
+        ledger.charge(
+            key,
+            conflicts=self.conflicts,
+            decisions=self.decisions,
+            propagations=self.propagations,
+            clauses_added=self.num_clauses,
+            translations_avoided=self.translations_avoided,
+            wall_seconds=self.construction_seconds + self.solving_seconds,
+        )
+
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "construction_seconds": self.construction_seconds,
-            "solving_seconds": self.solving_seconds,
-            "num_vars": self.num_vars,
-            "num_clauses": self.num_clauses,
-            "conflicts": self.conflicts,
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "solver_calls": self.solver_calls,
-            "translations": self.translations,
-            "translations_avoided": self.translations_avoided,
-            "clauses_shared": self.clauses_shared,
-            "learned_carried": self.learned_carried,
-            "exhausted": self.exhausted,
-            "backend": self.backend,
-            "per_signature": self.per_signature,
-        }
+        return {name: getattr(self, name) for name in _FIELDS}
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "SynthesisStats":
-        return SynthesisStats(
-            construction_seconds=data.get("construction_seconds", 0.0),
-            solving_seconds=data.get("solving_seconds", 0.0),
-            num_vars=data.get("num_vars", 0),
-            num_clauses=data.get("num_clauses", 0),
-            conflicts=data.get("conflicts", 0),
-            decisions=data.get("decisions", 0),
-            propagations=data.get("propagations", 0),
-            solver_calls=data.get("solver_calls", 0),
-            translations=data.get("translations", 0),
-            translations_avoided=data.get("translations_avoided", 0),
-            clauses_shared=data.get("clauses_shared", 0),
-            learned_carried=data.get("learned_carried", 0),
-            exhausted=bool(data.get("exhausted", False)),
-            backend=str(data.get("backend", "")),
-            per_signature={
-                name: dict(values)
-                for name, values in dict(
-                    data.get("per_signature", {})
-                ).items()
-            },
-        )
+        """Decode :meth:`to_dict` output; missing keys take defaults."""
+        values = {name: data[name] for name in _SCALARS if name in data}
+        values["per_signature"] = {
+            name: dict(entry)
+            for name, entry in data.get("per_signature", {}).items()
+        }
+        return SynthesisStats(**values)
+
+
+#: Every field, in serialization order; the summed (numeric) ones; and
+#: the ones copied as-is on decode (all but ``per_signature``).
+_FIELDS = tuple(f.name for f in dataclasses.fields(SynthesisStats))
+_SUMMED = tuple(
+    f.name
+    for f in dataclasses.fields(SynthesisStats)
+    if type(f.default) in (int, float)
+)
+_SCALARS = tuple(name for name in _FIELDS if name != "per_signature")
+
+#: The solver counters a problem's :class:`SolveStats` meter supplies
+#: (not its ``solving_seconds``: the engine times enumeration as a whole).
+_METERED = tuple(
+    f.name
+    for f in dataclasses.fields(SolveStats)
+    if f.name in _SUMMED and not f.name.endswith("_seconds")
+)
 
 
 @dataclass
@@ -310,35 +308,40 @@ class AnalysisAndSynthesisEngine:
             solving = time.perf_counter() - solve_start
         stats.construction_seconds = construction
         stats.solving_seconds = solving
-        stats.num_vars = problem.stats.num_vars
-        stats.num_clauses = problem.stats.num_clauses
-        stats.conflicts = problem.stats.conflicts
-        stats.decisions = problem.stats.decisions
-        stats.propagations = problem.stats.propagations
-        stats.solver_calls = problem.stats.solver_calls
-        stats.translations = 1
         stats.translations_avoided = max(0, len(groups) - 1)
         stats.exhausted = exhausted_any
-        stats.backend = self.solver_backend
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(f"ase.backend.{self.solver_backend}").inc()
-            metrics.counter("ase.signature_runs").inc(len(groups))
-            metrics.counter("ase.scenarios").inc(len(scenarios))
-            metrics.counter("ase.translations").inc(stats.translations)
-            metrics.counter("ase.translations_avoided").inc(
-                stats.translations_avoided
-            )
-            metrics.counter("ase.clauses_shared").inc(stats.clauses_shared)
-            metrics.counter("ase.learned_carried").inc(stats.learned_carried)
-            if exhausted_any:
-                metrics.counter("ase.budget_exhausted").inc()
-            metrics.histogram("ase.num_vars").observe(stats.num_vars)
-            metrics.histogram("ase.num_clauses").observe(stats.num_clauses)
-            metrics.histogram("ase.construction_seconds").observe(construction)
-            metrics.histogram("ase.solving_seconds").observe(solving)
+        self._record(stats, problem, len(groups), len(scenarios))
         self.last_problem = problem
         return SynthesisResult(scenarios=scenarios, stats=stats)
+
+    def _record(
+        self,
+        stats: SynthesisStats,
+        problem: RelationalProblem,
+        signature_runs: int,
+        scenarios: int,
+    ) -> None:
+        """Copy ``problem``'s solver counters into ``stats`` (the caller
+        set timings, ``exhausted`` and reuse counters) and publish it as
+        ``ase.*`` metrics."""
+        for name in _METERED:
+            setattr(stats, name, getattr(problem.stats, name))
+        stats.translations = 1
+        stats.backend = self.solver_backend
+        metrics = get_metrics()
+        if not metrics.enabled:
+            return
+        metrics.counter(f"ase.backend.{self.solver_backend}").inc()
+        metrics.counter("ase.signature_runs").inc(signature_runs)
+        metrics.counter("ase.scenarios").inc(scenarios)
+        reused = ("translations_avoided", "clauses_shared", "learned_carried")
+        for name in ("translations",) + reused:
+            metrics.counter(f"ase.{name}").inc(getattr(stats, name))
+        if stats.exhausted:
+            metrics.counter("ase.budget_exhausted").inc()
+        timings = ("construction_seconds", "solving_seconds")
+        for name in ("num_vars", "num_clauses") + timings:
+            metrics.histogram(f"ase.{name}").observe(getattr(stats, name))
 
     def _build_shared(self, spec: BundleSpec):
         """Instantiate every signature into one module and gate each one.
@@ -545,30 +548,10 @@ class AnalysisAndSynthesisEngine:
                 )
             solving = time.perf_counter() - solve_start
             scenarios = [instantiation.decode(instance) for instance in found]
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("ase.signature_runs").inc()
-            metrics.counter("ase.scenarios").inc(len(found))
-            metrics.counter("ase.translations").inc()
-            if exhausted:
-                metrics.counter("ase.budget_exhausted").inc()
-            metrics.histogram("ase.num_vars").observe(problem.stats.num_vars)
-            metrics.histogram("ase.num_clauses").observe(
-                problem.stats.num_clauses
-            )
-            metrics.histogram("ase.construction_seconds").observe(construction)
-            metrics.histogram("ase.solving_seconds").observe(solving)
         stats.construction_seconds = construction
         stats.solving_seconds = solving
-        stats.num_vars = problem.stats.num_vars
-        stats.num_clauses = problem.stats.num_clauses
-        stats.conflicts = problem.stats.conflicts
-        stats.decisions = problem.stats.decisions
-        stats.propagations = problem.stats.propagations
-        stats.solver_calls = problem.stats.solver_calls
-        stats.translations = 1
         stats.exhausted = exhausted
-        stats.backend = self.solver_backend
+        self._record(stats, problem, 1, len(found))
         stats.per_signature[signature.name] = {
             "construction_seconds": construction,
             "solving_seconds": solving,

@@ -24,7 +24,9 @@ Four pillars, all zero-cost when disabled:
 A fifth pillar rides on the tracer's trace ids: :mod:`repro.obs.cost`,
 a ledger attributing metered work (solver conflicts, cache traffic, PDP
 cache hits, wall-clock) to ``(trace_id, device, bundle, signature)``
-accounts.  Defaults to a no-op; enable with :func:`enable_cost_ledger`.
+accounts.  Defaults to a no-op; a run installs a fresh
+:class:`CostLedger` with :func:`set_cost_ledger` and restores the
+previous one when it ends.
 
 Instrumentation never feeds cache keys (tracer/registry/ledger state is
 not part of any content hash) and never touches analysis outputs, so
@@ -38,7 +40,6 @@ from repro.obs.cost import (
     CostKey,
     CostLedger,
     NullCostLedger,
-    enable_cost_ledger,
     get_cost_ledger,
     set_cost_ledger,
 )
@@ -134,7 +135,6 @@ __all__ = [
     "cost_metrics_snapshot",
     "current_trace_context",
     "current_trace_id",
-    "enable_cost_ledger",
     "enable_metrics",
     "enable_progress",
     "enable_tracing",

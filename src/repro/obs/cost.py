@@ -8,14 +8,17 @@ auditable account of the solver conflicts, propagations, decisions,
 clauses, cache traffic, PDP cache hits, and wall-clock they consumed.
 
 Charges are posted by the *orchestrator* (pipeline parent process,
-service event loop) from per-task stats payloads and metrics deltas --
+service event loop) from per-task stats payloads
+(:meth:`repro.core.synthesis.SynthesisStats.charge`) and metrics deltas --
 worker processes never touch the ledger, so serial and pooled runs
 attribute identically and nothing here can perturb analysis output or
 cache keys (see ``docs/OBSERVABILITY.md``: instrumentation never feeds
 cache keys).
 
 Follows the tracer/metrics pattern: a no-op :class:`NullCostLedger` is
-installed by default, :func:`enable_cost_ledger` swaps in a live one.
+installed by default.  A run or server installs a fresh live one with
+``previous = set_cost_ledger(CostLedger())`` and puts ``previous`` back
+when it is done, so no run reports another's accounts.
 """
 
 from __future__ import annotations
@@ -36,16 +39,6 @@ COST_FIELDS: Tuple[str, ...] = (
     "pdp_cache_hits",
     "wall_seconds",
 )
-
-#: SynthesisStats field -> ledger field, for :meth:`CostLedger.charge_stats`.
-_STATS_FIELDS: Tuple[Tuple[str, str], ...] = (
-    ("conflicts", "conflicts"),
-    ("decisions", "decisions"),
-    ("propagations", "propagations"),
-    ("num_clauses", "clauses_added"),
-    ("translations_avoided", "translations_avoided"),
-)
-
 
 @dataclass(frozen=True)
 class CostKey:
@@ -130,17 +123,6 @@ class CostLedger:
             for name, value in amounts.items():
                 entry[name] += float(value)
 
-    def charge_stats(self, key: CostKey, stats: Dict[str, Any]) -> None:
-        """Charge solver work from a ``SynthesisStats.to_dict()`` payload."""
-        amounts = {
-            ledger_field: float(stats.get(stats_field, 0) or 0)
-            for stats_field, ledger_field in _STATS_FIELDS
-        }
-        amounts["wall_seconds"] = float(
-            stats.get("construction_seconds", 0) or 0
-        ) + float(stats.get("solving_seconds", 0) or 0)
-        self.charge(key, **amounts)
-
     def entries(self) -> List[Dict[str, Any]]:
         """Every account as ``{**key, **meters}`` dicts, charge order."""
         with self._lock:
@@ -210,9 +192,6 @@ class NullCostLedger(CostLedger):
     def charge(self, key: CostKey, **amounts: float) -> None:
         return None
 
-    def charge_stats(self, key: CostKey, stats: Dict[str, Any]) -> None:
-        return None
-
     def merge(self, entries: Iterable[Dict[str, Any]]) -> None:
         return None
 
@@ -232,10 +211,3 @@ def set_cost_ledger(ledger: CostLedger) -> CostLedger:
     _ledger = ledger
     return previous
 
-
-def enable_cost_ledger(capacity: int = 4096) -> CostLedger:
-    """Swap in a live ledger (idempotent: reuses an existing live one)."""
-    global _ledger
-    if not _ledger.enabled:
-        _ledger = CostLedger(capacity=capacity)
-    return _ledger

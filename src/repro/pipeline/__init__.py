@@ -28,7 +28,6 @@ from repro.pipeline.faults import FAULT_ENV, FAULT_STATE_ENV, InjectedFault
 from repro.pipeline.stats import (
     CacheAccounting,
     RunReport,
-    SolverCounters,
     StageTiming,
     TaskFailure,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "NullCache",
     "CacheAccounting",
     "RunReport",
-    "SolverCounters",
     "StageTiming",
     "CACHE_DIR_ENV",
     "CACHE_FORMAT_VERSION",

@@ -202,15 +202,13 @@ def synthesis_payload(result: SynthesisResult) -> Dict[str, Any]:
 def synthesis_result(payload: Optional[Dict[str, Any]]) -> SynthesisResult:
     """Decode a :func:`synthesis_payload`; ``None`` (a failed task)
     decodes to an empty result."""
-    stats = SynthesisStats()
     if payload is None:
-        return SynthesisResult(scenarios=[], stats=stats)
-    stats.merge(SynthesisStats.from_dict(payload["stats"]))
+        return SynthesisResult(scenarios=[], stats=SynthesisStats())
     return SynthesisResult(
         scenarios=[
             serialize.scenario_from_dict(s) for s in payload["scenarios"]
         ],
-        stats=stats,
+        stats=SynthesisStats.from_dict(payload["stats"]),
     )
 
 
@@ -269,7 +267,9 @@ def synthesize_cached(
         payloads[i] = payload
         if ledger.enabled:
             ledger.charge(accounts[i], cache_misses=1)
-            ledger.charge_stats(accounts[i], payload["stats"])
+            SynthesisStats.from_dict(payload["stats"]).charge(
+                ledger, accounts[i]
+            )
         cache.put("synthesis", keys[i], payload)
     return payloads
 
@@ -1028,9 +1028,7 @@ class AnalysisPipeline:
                 stats = result.stats
                 report = Separ.assemble_report(bundle, result)
                 reports.append(report)
-                run_report.solver.add_synthesis_stats(stats)
-                run_report.construction_seconds += stats.construction_seconds
-                run_report.solving_seconds += stats.solving_seconds
+                run_report.solver.merge(stats)
                 run_report.num_scenarios += len(report.scenarios)
                 run_report.num_policies += len(report.policies)
                 run_report.per_bundle.append(

@@ -19,7 +19,9 @@ entry, driven entirely by the ``REPRO_FAULT`` environment variable:
 - options     -- ``once`` (inject only on the first attempt per task;
   needs ``REPRO_FAULT_STATE`` pointing at a writable directory shared by
   the worker processes), ``seed=N`` (reseed the selection hash),
-  ``match=SUBSTR`` (only hit tasks whose key contains the substring), and
+  ``match=SUBSTR`` (only hit tasks whose key contains the substring; it
+  may contain commas, since only a comma followed by ``<stage>:`` starts
+  the next clause), and
   ``secs=N`` (sleep duration for ``hang`` faults; default
   :data:`HANG_SECONDS`).
 
@@ -38,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pathlib
+import re
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -59,6 +62,11 @@ CRASH_EXIT_STATUS = 173
 HANG_SECONDS = 600.0
 
 _KINDS = ("crash", "error", "hang")
+
+#: Clauses are separated only by a comma that starts a new
+#: ``<stage>:`` clause, so a ``match=`` value may itself contain commas
+#: (synthesis task labels list a bundle's packages comma-separated).
+_CLAUSE_SEPARATOR = re.compile(r",(?=\s*(?:extract|synthesis|\*)\s*:)")
 
 
 class InjectedFault(RuntimeError):
@@ -132,7 +140,7 @@ def active_fault_specs() -> Tuple[FaultSpec, ...]:
         return ()
     return tuple(
         parse_fault_spec(clause)
-        for clause in text.split(",")
+        for clause in _CLAUSE_SEPARATOR.split(text)
         if clause.strip()
     )
 

@@ -1,8 +1,8 @@
 """Pipeline instrumentation: stage timings, cache accounting, run reports.
 
 A :class:`RunReport` is the machine-readable record of one pipeline run:
-per-stage wall time, the CDCL solver counters rolled up across every
-synthesis call, and the cache's hit/miss/invalidation accounting.  The
+per-stage wall time, every bundle's synthesis counters merged into one
+record, and the cache's hit/miss/invalidation accounting.  The
 Table 2 / Fig 5 benchmark harnesses and ``benchsuite.metrics`` consume it.
 """
 
@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from repro.core.synthesis import SynthesisStats
 
 
 @dataclass
@@ -123,85 +125,12 @@ class CacheAccounting:
 
 
 @dataclass
-class SolverCounters:
-    """CDCL and encoding work rolled up across every SAT call of a run.
-
-    The last four fields account for shared-encoding reuse:
-    ``translations`` counts full formula-to-CNF translations actually
-    performed, ``translations_avoided`` the ones the shared encoding
-    skipped, ``clauses_shared`` the base clauses warm queries reused
-    instead of re-adding, and ``learned_carried`` the learned clauses
-    already in the solver when each subsequent signature started.
-    """
-
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    solver_calls: int = 0
-    num_vars: int = 0
-    num_clauses: int = 0
-    translations: int = 0
-    translations_avoided: int = 0
-    clauses_shared: int = 0
-    learned_carried: int = 0
-    # Solver backend that produced these counters ("reference"/"fast";
-    # "mixed" if stats from different backends were folded together, ""
-    # when nothing has been recorded, e.g. an all-cache-hits run).
-    backend: str = ""
-
-    def add_synthesis_stats(self, stats: "SynthesisStatsLike") -> None:
-        other_backend = getattr(stats, "backend", "")
-        if not self.backend:
-            self.backend = other_backend
-        elif other_backend and other_backend != self.backend:
-            self.backend = "mixed"
-        self.conflicts += stats.conflicts
-        self.decisions += stats.decisions
-        self.propagations += stats.propagations
-        self.solver_calls += stats.solver_calls
-        self.num_vars += stats.num_vars
-        self.num_clauses += stats.num_clauses
-        self.translations += getattr(stats, "translations", 0)
-        self.translations_avoided += getattr(
-            stats, "translations_avoided", 0
-        )
-        self.clauses_shared += getattr(stats, "clauses_shared", 0)
-        self.learned_carried += getattr(stats, "learned_carried", 0)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "conflicts": self.conflicts,
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "solver_calls": self.solver_calls,
-            "num_vars": self.num_vars,
-            "num_clauses": self.num_clauses,
-            "translations": self.translations,
-            "translations_avoided": self.translations_avoided,
-            "clauses_shared": self.clauses_shared,
-            "learned_carried": self.learned_carried,
-            "backend": self.backend,
-        }
-
-
-class SynthesisStatsLike:
-    """Structural protocol: anything carrying the rolled-up counters."""
-
-    conflicts: int
-    decisions: int
-    propagations: int
-    solver_calls: int
-    num_vars: int
-    num_clauses: int
-    translations: int
-    translations_avoided: int
-    clauses_shared: int
-    learned_carried: int
-
-
-@dataclass
 class RunReport:
     """The machine-readable record of one pipeline run.
+
+    ``solver`` is every bundle's :class:`SynthesisStats` merged into one;
+    :meth:`to_dict` also mirrors its ``construction_seconds`` and
+    ``solving_seconds`` as top-level keys (the Table II split).
 
     ``spans``, ``metrics`` and ``cost`` are populated only when
     observability is enabled for the run: ``spans`` carries the
@@ -227,9 +156,7 @@ class RunReport:
     num_policies: int = 0
     stages: List[StageTiming] = field(default_factory=list)
     cache: CacheAccounting = field(default_factory=CacheAccounting)
-    solver: SolverCounters = field(default_factory=SolverCounters)
-    construction_seconds: float = 0.0
-    solving_seconds: float = 0.0
+    solver: SynthesisStats = field(default_factory=SynthesisStats)
     per_bundle: List[Dict[str, Any]] = field(default_factory=list)
     spans: Dict[str, Dict[str, float]] = field(default_factory=dict)
     metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)
@@ -268,8 +195,8 @@ class RunReport:
             "total_seconds": self.total_seconds,
             "cache": self.cache.to_dict(),
             "solver": self.solver.to_dict(),
-            "construction_seconds": self.construction_seconds,
-            "solving_seconds": self.solving_seconds,
+            "construction_seconds": self.solver.construction_seconds,
+            "solving_seconds": self.solver.solving_seconds,
             "per_bundle": self.per_bundle,
             "spans": self.spans,
             "metrics": self.metrics,
@@ -289,8 +216,11 @@ class RunReport:
             num_bundles=data.get("num_bundles", 0),
             num_scenarios=data.get("num_scenarios", 0),
             num_policies=data.get("num_policies", 0),
-            construction_seconds=data.get("construction_seconds", 0.0),
-            solving_seconds=data.get("solving_seconds", 0.0),
+            # Reports written before ``solver`` carried the two timings
+            # kept them at the top level only.
+            solver=SynthesisStats.from_dict(
+                {**data, **data.get("solver", {})}
+            ),
             per_bundle=list(data.get("per_bundle", ())),
             spans={k: dict(v) for k, v in data.get("spans", {}).items()},
             metrics={k: dict(v) for k, v in data.get("metrics", {}).items()},
@@ -305,20 +235,6 @@ class RunReport:
         report.cache.misses = dict(cache.get("misses", {}))
         report.cache.invalidations = dict(cache.get("invalidations", {}))
         report.cache.rejections = dict(cache.get("rejections", {}))
-        solver = data.get("solver", {})
-        report.solver = SolverCounters(
-            conflicts=solver.get("conflicts", 0),
-            decisions=solver.get("decisions", 0),
-            propagations=solver.get("propagations", 0),
-            solver_calls=solver.get("solver_calls", 0),
-            num_vars=solver.get("num_vars", 0),
-            num_clauses=solver.get("num_clauses", 0),
-            translations=solver.get("translations", 0),
-            translations_avoided=solver.get("translations_avoided", 0),
-            clauses_shared=solver.get("clauses_shared", 0),
-            learned_carried=solver.get("learned_carried", 0),
-            backend=solver.get("backend", ""),
-        )
         return report
 
     @staticmethod

@@ -156,6 +156,46 @@ class TestTraceCommands:
         assert "repro_cost_cache_misses_total{" in exposition
         assert 'trace_id="' in exposition
 
+    def test_second_pipeline_run_reports_only_its_own_costs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import json
+
+        from repro.obs import METRICS_ENV, NULL_METRICS, NULL_TRACER, TRACE_ENV
+        from repro.obs import get_cost_ledger, set_metrics, set_tracer
+
+        ledger_before = get_cost_ledger()
+        runs = []
+        try:
+            for run in ("first", "second"):
+                trace_path = tmp_path / f"{run}.jsonl"
+                report_path = tmp_path / f"{run}.json"
+                assert main(
+                    [
+                        "pipeline", "--scale", "0.002", "--bundle-size", "4",
+                        "--scenarios", "2", "--no-cache",
+                        "--trace", str(trace_path),
+                        "--report", str(report_path),
+                    ]
+                ) == 0
+                runs.append((trace_path, report_path))
+        finally:
+            set_tracer(NULL_TRACER)
+            set_metrics(NULL_METRICS)
+            monkeypatch.delenv(TRACE_ENV, raising=False)
+            monkeypatch.delenv(METRICS_ENV, raising=False)
+        capsys.readouterr()
+        trace_path, report_path = runs[1]
+        trace_ids = {
+            json.loads(line).get("trace_id")
+            for line in trace_path.read_text().splitlines()
+        } - {None}
+        (second_trace,) = trace_ids
+        cost = json.loads(report_path.read_text())["cost"]
+        assert cost
+        assert all(entry["trace_id"] == second_trace for entry in cost)
+        assert get_cost_ledger() is ledger_before  # each run restored it
+
     def test_trace_rejects_missing_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
         assert main(["trace", str(missing)]) != 0

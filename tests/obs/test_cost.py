@@ -7,13 +7,13 @@ import threading
 
 import pytest
 
+from repro.core.synthesis import SynthesisStats
 from repro.obs import (
     COST_FIELDS,
     NULL_COST_LEDGER,
     CostKey,
     CostLedger,
     NullCostLedger,
-    enable_cost_ledger,
     get_cost_ledger,
     set_cost_ledger,
 )
@@ -53,22 +53,21 @@ class TestCharging:
         assert entry["signature"] == "collusion"
         assert entry["pdp_cache_hits"] == 4
 
-    def test_charge_stats_maps_solver_counters(self):
+    def test_synthesis_stats_charge_maps_solver_counters(self):
         ledger = CostLedger()
-        ledger.charge_stats(
-            _key(),
-            {
-                "conflicts": 7,
-                "decisions": 20,
-                "propagations": 100,
-                "num_clauses": 50,
-                "translations_avoided": 3,
-                "construction_seconds": 0.25,
-                "solving_seconds": 0.75,
-            },
-        )
+        SynthesisStats(
+            conflicts=7,
+            decisions=20,
+            propagations=100,
+            num_clauses=50,
+            translations_avoided=3,
+            construction_seconds=0.25,
+            solving_seconds=0.75,
+        ).charge(ledger, _key())
         (entry,) = ledger.entries()
         assert entry["conflicts"] == 7
+        assert entry["decisions"] == 20
+        assert entry["propagations"] == 100
         assert entry["clauses_added"] == 50
         assert entry["translations_avoided"] == 3
         assert entry["wall_seconds"] == pytest.approx(1.0)
@@ -215,18 +214,16 @@ class TestGlobalInstall:
         assert isinstance(NULL_COST_LEDGER, NullCostLedger)
         assert NULL_COST_LEDGER.enabled is False
         NULL_COST_LEDGER.charge(_key(), conflicts=99)
-        NULL_COST_LEDGER.charge_stats(_key(), {"conflicts": 99})
+        SynthesisStats(conflicts=99).charge(NULL_COST_LEDGER, _key())
         NULL_COST_LEDGER.merge([{"trace_id": "x", "conflicts": 1}])
         assert NULL_COST_LEDGER.entries() == []
         assert NULL_COST_LEDGER.totals()["conflicts"] == 0
 
-    def test_enable_is_idempotent_and_set_restores(self):
+    def test_set_installs_and_restores(self):
         previous = get_cost_ledger()
+        live = CostLedger()
         try:
-            set_cost_ledger(NULL_COST_LEDGER)
-            live = enable_cost_ledger()
-            assert live.enabled
-            assert enable_cost_ledger() is live  # second call: same ledger
+            assert set_cost_ledger(live) is previous
             assert get_cost_ledger() is live
         finally:
             set_cost_ledger(previous)

@@ -38,6 +38,7 @@ from repro.pipeline.faults import (
     FAULT_STATE_ENV,
     FaultSpec,
     InjectedFault,
+    active_fault_specs,
     maybe_inject,
     parse_fault_spec,
 )
@@ -130,6 +131,27 @@ class TestFaultSpecParsing:
             parse_fault_spec("synthesis:explode:1.0")  # unknown kind
         with pytest.raises(ValueError):
             parse_fault_spec("synthesis:crash:1.0:sometimes")  # bad option
+
+    def test_clauses_split_only_before_a_stage(self, monkeypatch):
+        monkeypatch.setenv(
+            FAULT_ENV,
+            "synthesis:error:1.0:match=messenger,com.example.navigation,"
+            " extract:hang:0.5:secs=1",
+        )
+        assert active_fault_specs() == (
+            FaultSpec(
+                stage="synthesis",
+                kind="error",
+                rate=1.0,
+                match="messenger,com.example.navigation",
+            ),
+            FaultSpec(stage="extract", kind="hang", rate=0.5, secs=1.0),
+        )
+        monkeypatch.setenv(FAULT_ENV, "*:error:1.0,synthesis:crash:0.5")
+        assert [spec.stage for spec in active_fault_specs()] == [
+            "*",
+            "synthesis",
+        ]
 
     def test_applies_filters_stage_and_match(self):
         spec = FaultSpec(stage="synthesis", kind="error", rate=1.0,
@@ -230,6 +252,27 @@ class TestSerialFaultPaths:
         expected = _bundle_findings(clean)
         del faulted["com.example.navigation"]
         del expected["com.example.navigation"]
+        assert faulted == expected
+
+    def test_match_with_comma_targets_the_two_app_bundle(self, arm_fault):
+        clean = AnalysisPipeline(jobs=1, scenarios_per_signature=3).run(
+            _three_bundles()
+        )
+        both = "com.example.messenger,com.example.navigation"
+        arm_fault("synthesis:error:1.0:match=messenger,com.example.navigation")
+        result = AnalysisPipeline(
+            jobs=1,
+            scenarios_per_signature=3,
+            faults=FaultPolicy(max_retries=0, backoff_seconds=0.0),
+        ).run(_three_bundles())
+        (failure,) = result.run_report.failures
+        assert failure["task"].endswith("|" + both)
+        assert clean.reports[2].scenarios
+        assert result.reports[2].scenarios == []
+        faulted = _bundle_findings(result)
+        expected = _bundle_findings(clean)
+        del faulted[both]
+        del expected[both]
         assert faulted == expected
 
     def test_extract_failure_drops_app_not_run(self, arm_fault):

@@ -184,6 +184,28 @@ class TestRunReport:
         assert solver.decisions > 0
         assert solver.num_vars > 0
 
+    def test_report_keeps_its_keys_and_mirrors_the_timings(self):
+        report = AnalysisPipeline(jobs=1, scenarios_per_signature=4).run(
+            [[build_app1(), build_app2()]]
+        ).run_report
+        data = report.to_dict()
+        assert {
+            "jobs", "num_apps", "num_bundles", "num_scenarios",
+            "num_policies", "stages", "total_seconds", "cache", "solver",
+            "construction_seconds", "solving_seconds", "per_bundle",
+            "spans", "metrics", "cost", "failures", "degraded",
+        } <= set(data)
+        assert {
+            "conflicts", "decisions", "propagations", "solver_calls",
+            "num_vars", "num_clauses", "translations",
+            "translations_avoided", "clauses_shared", "learned_carried",
+            "backend",
+        } <= set(data["solver"])
+        assert data["construction_seconds"] > 0
+        for timing in ("construction_seconds", "solving_seconds"):
+            assert data[timing] == data["solver"][timing]
+        assert RunReport.loads(report.dumps()).to_dict() == data
+
 
 class TestSerializationRoundtrip:
     def test_scenarios_and_policies_lossless(self):
